@@ -14,17 +14,6 @@ double UncertaintyResult::fraction_below(double threshold) const {
   return stats::fraction_below(metrics, threshold);
 }
 
-expr::ParameterSet sample_parameters(
-    const expr::ParameterSet& base,
-    const std::vector<stats::ParameterRange>& ranges,
-    const stats::Sample& draw) {
-  expr::ParameterSet params = base;
-  for (std::size_t d = 0; d < ranges.size(); ++d) {
-    params.set(ranges[d].name, draw[d]);
-  }
-  return params;
-}
-
 std::uint64_t uncertainty_checkpoint_digest(
     const UncertaintyOptions& options,
     const std::vector<stats::ParameterRange>& ranges) {
@@ -122,7 +111,8 @@ UncertaintyResult uncertainty_analysis(
         // Chunk-local = worker-local: the solver cache and the
         // parameter set are set up once per chunk.  Every draw
         // overrides every ranged parameter, so reusing the set leaves
-        // exactly the same bindings sample_parameters() would build.
+        // exactly the bindings of a fresh copy of `base` with this
+        // draw applied.
         ctmc::SolveCache cache;
         expr::ParameterSet params = base;
         for (std::size_t i = begin; i < end; ++i) {

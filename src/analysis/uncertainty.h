@@ -66,14 +66,6 @@ struct UncertaintyResult {
   [[nodiscard]] double fraction_below(double threshold) const;
 };
 
-/// Pure helper: `base` with every range's parameter overridden by the
-/// corresponding coordinate of `draw`.  Shared by the serial and
-/// parallel evaluation paths.
-[[nodiscard]] expr::ParameterSet sample_parameters(
-    const expr::ParameterSet& base,
-    const std::vector<stats::ParameterRange>& ranges,
-    const stats::Sample& draw);
-
 /// Fingerprint of everything that determines the draw stream and
 /// result bits (seed, sample count, sampler, ranges, and the RNG
 /// substream-derivation scheme — NOT the thread count).  Used as the

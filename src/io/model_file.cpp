@@ -61,8 +61,19 @@ class LineScanner {
 
 }  // namespace
 
+expr::ParameterSet ModelFile::parameters_with(
+    const expr::ParameterSet& overrides) const {
+  for (const auto& [override_name, value] : overrides) {
+    (void)value;
+    if (!parameters.contains(override_name)) {
+      throw UndeclaredParameterError(override_name);
+    }
+  }
+  return parameters.with(overrides);
+}
+
 ctmc::Ctmc ModelFile::bind(const expr::ParameterSet& overrides) const {
-  return model.bind(parameters.with(overrides));
+  return model.bind(parameters_with(overrides));
 }
 
 ModelFile parse_model(std::istream& in) {

@@ -57,6 +57,16 @@ class ModelFileError : public std::runtime_error {
   std::string message_;
 };
 
+/// An override names a parameter the model file does not declare with
+/// a `param` line.  Nothing would read the value, so the solve would
+/// quietly answer for the unperturbed model instead.
+class UndeclaredParameterError : public std::invalid_argument {
+ public:
+  explicit UndeclaredParameterError(const std::string& name)
+      : std::invalid_argument("the model declares no parameter '" + name +
+                              "'") {}
+};
+
 struct ModelFile {
   std::string name;
   expr::ParameterSet parameters;  // defaults declared in the file
@@ -71,8 +81,13 @@ struct ModelFile {
   // record the unused-parameter check (R021) would false-positive.
   std::set<std::string> params_used_in_definitions;
 
-  /// Binds the symbolic model against the file's defaults overridden
-  /// by `overrides`.
+  /// The file's defaults overridden by `overrides`.  Throws
+  /// UndeclaredParameterError for an override the file does not
+  /// declare.
+  [[nodiscard]] expr::ParameterSet parameters_with(
+      const expr::ParameterSet& overrides) const;
+
+  /// Binds the symbolic model against parameters_with(overrides).
   [[nodiscard]] ctmc::Ctmc bind(
       const expr::ParameterSet& overrides = {}) const;
 };

@@ -19,11 +19,6 @@ void LuDecomposition::refactor(const Matrix& a) {
   factorize();
 }
 
-void LuDecomposition::refactor(Matrix&& a) {
-  lu_ = std::move(a);
-  factorize();
-}
-
 void LuDecomposition::factorize() {
   if (!lu_.square()) {
     throw std::invalid_argument("LuDecomposition: matrix must be square");
@@ -97,13 +92,6 @@ void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
     for (std::size_t c = ri + 1; c < n; ++c) acc -= row[c] * x[c];
     x[ri] = acc / row[ri];
   }
-}
-
-std::vector<Vector> LuDecomposition::solve_many(
-    const std::vector<Vector>& rhs) const {
-  std::vector<Vector> out(rhs.size());
-  for (std::size_t i = 0; i < rhs.size(); ++i) solve_into(rhs[i], out[i]);
-  return out;
 }
 
 Matrix LuDecomposition::solve(const Matrix& b) const {

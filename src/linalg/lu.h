@@ -22,7 +22,6 @@ class LuDecomposition {
   /// elimination is the same operation sequence as the constructor, so
   /// a refactored decomposition solves bit-identically to a fresh one.
   void refactor(const Matrix& a);
-  void refactor(Matrix&& a);
 
   /// Solves A x = b.  Throws std::invalid_argument on size mismatch.
   [[nodiscard]] Vector solve(const Vector& b) const;
@@ -34,12 +33,6 @@ class LuDecomposition {
 
   /// Solves A X = B column by column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
-
-  /// Solves A x_i = b_i for a batch of right-hand sides, reusing this
-  /// one factorisation.  Each solution matches a standalone solve(b_i)
-  /// bit for bit.
-  [[nodiscard]] std::vector<Vector> solve_many(
-      const std::vector<Vector>& rhs) const;
 
   /// Determinant of A (product of U diagonal with pivot sign).
   [[nodiscard]] double determinant() const noexcept;

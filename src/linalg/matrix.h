@@ -45,7 +45,6 @@ class Matrix {
 
   /// Bounds-checked access; throws std::out_of_range.
   [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
   /// Reshapes to rows x cols and refills every entry with `fill`,
   /// reusing the existing heap block when capacity allows.  The

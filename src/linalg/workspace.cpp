@@ -4,16 +4,6 @@
 
 namespace rascal::linalg {
 
-Matrix& SolveWorkspace::dense(std::size_t rows, std::size_t cols) {
-  dense_.reshape(rows, cols, 0.0);
-  return dense_;
-}
-
-std::vector<std::size_t>& SolveWorkspace::pivots(std::size_t n) {
-  pivots_.resize(n);
-  return pivots_;
-}
-
 Vector& SolveWorkspace::vec(std::size_t slot, std::size_t n) {
   if (slot >= kVectorSlots) {
     throw std::out_of_range("SolveWorkspace::vec: bad slot");

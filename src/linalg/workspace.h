@@ -2,7 +2,7 @@
 //
 // Batch drivers (uncertainty analysis, parametric sweeps, fault
 // campaigns) solve thousands of same-shaped systems in a row.  A
-// SolveWorkspace owns the dense elimination scratch, pivot array, and
+// SolveWorkspace owns the dense elimination scratch, LU factors and
 // vector temporaries those solves need, so a worker performs O(1)
 // heap allocations over a whole batch instead of O(samples) matrix
 // churn.  Reusing a workspace never changes results: the workspace
@@ -24,10 +24,6 @@ namespace rascal::linalg {
 
 class SolveWorkspace {
  public:
-  /// Dense scratch reshaped to rows x cols and zero-filled, reusing
-  /// the existing heap block when capacity allows.
-  [[nodiscard]] Matrix& dense(std::size_t rows, std::size_t cols);
-
   /// Raw dense scratch with whatever shape the last caller left; for
   /// callers that reshape/refill it themselves (e.g. via
   /// Ctmc::write_generator).
@@ -36,9 +32,6 @@ class SolveWorkspace {
   /// Resident LU decomposition: refactor() into it per solve and the
   /// packed-factor storage is reused across the whole batch.
   [[nodiscard]] LuDecomposition& lu() noexcept { return lu_; }
-
-  /// Pivot/permutation scratch of length n (uninitialized contents).
-  [[nodiscard]] std::vector<std::size_t>& pivots(std::size_t n);
 
   /// Vector scratch slot `slot` resized to n and zero-filled.  Slots
   /// are independent buffers; callers that need several concurrent
@@ -65,7 +58,6 @@ class SolveWorkspace {
  private:
   Matrix dense_;
   LuDecomposition lu_;
-  std::vector<std::size_t> pivots_;
   Vector vectors_[kVectorSlots];
   std::deque<Vector> sparse_vectors_;
   std::vector<Vector> basis_;

@@ -42,11 +42,6 @@ std::size_t ResultsSink::close() {
   return written_;
 }
 
-std::size_t ResultsSink::written() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return written_;
-}
-
 std::size_t ResultsSink::gaps() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return gaps_;

@@ -68,9 +68,6 @@ class ResultsSink {
   /// written (gap records included).
   std::size_t close();
 
-  /// Records written so far (monotonic; final after close()).
-  [[nodiscard]] std::size_t written() const;
-
   /// Interior gaps discovered at close (0 before close()).
   [[nodiscard]] std::size_t gaps() const;
 

@@ -94,16 +94,6 @@ PetriNet& PetriNet::set_guard(TransitionId transition, GuardFunction guard) {
   return *this;
 }
 
-const std::string& PetriNet::place_name(PlaceId id) const {
-  check_place(id);
-  return places_[id].name;
-}
-
-const std::string& PetriNet::transition_name(TransitionId id) const {
-  check_transition(id);
-  return transitions_[id].name;
-}
-
 Marking PetriNet::initial_marking() const {
   Marking m(places_.size());
   for (std::size_t i = 0; i < places_.size(); ++i) m[i] = places_[i].initial;

@@ -61,8 +61,6 @@ class PetriNet {
   [[nodiscard]] std::size_t num_transitions() const noexcept {
     return transitions_.size();
   }
-  [[nodiscard]] const std::string& place_name(PlaceId id) const;
-  [[nodiscard]] const std::string& transition_name(TransitionId id) const;
   [[nodiscard]] Marking initial_marking() const;
 
   [[nodiscard]] bool is_immediate(TransitionId id) const;

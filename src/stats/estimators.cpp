@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "stats/distributions.h"
 #include "stats/special_functions.h"
 
 namespace rascal::stats {
@@ -34,7 +33,7 @@ double coverage_lower_bound(std::uint64_t trials, std::uint64_t successes,
   const double s = static_cast<double>(successes);
   const double d1 = 2.0 * (n - s) + 2.0;
   const double d2 = 2.0 * s;
-  const double f = FisherF(d1, d2).quantile(confidence);
+  const double f = fisher_f_quantile(d1, d2, confidence);
   return s / (s + (n - s + 1.0) * f);
 }
 
@@ -74,7 +73,7 @@ double failure_rate_upper_bound(double total_exposure, std::uint64_t failures,
         "failure_rate_upper_bound: exposure must be > 0");
   }
   const double dof = 2.0 * static_cast<double>(failures) + 2.0;
-  return ChiSquare(dof).quantile(confidence) / (2.0 * total_exposure);
+  return chi_square_quantile(dof, confidence) / (2.0 * total_exposure);
 }
 
 RateInterval failure_rate_interval(double total_exposure,
@@ -86,13 +85,13 @@ RateInterval failure_rate_interval(double total_exposure,
   const double alpha = 1.0 - confidence;
   RateInterval interval;
   if (failures > 0) {
-    interval.lower =
-        ChiSquare(2.0 * static_cast<double>(failures)).quantile(alpha / 2.0) /
-        (2.0 * total_exposure);
+    interval.lower = chi_square_quantile(2.0 * static_cast<double>(failures),
+                                         alpha / 2.0) /
+                     (2.0 * total_exposure);
   }
   interval.upper =
-      ChiSquare(2.0 * static_cast<double>(failures) + 2.0)
-          .quantile(1.0 - alpha / 2.0) /
+      chi_square_quantile(2.0 * static_cast<double>(failures) + 2.0,
+                          1.0 - alpha / 2.0) /
       (2.0 * total_exposure);
   return interval;
 }

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/distributions.h"
-
 namespace rascal::stats {
 
 double kolmogorov_survival(double x) {
@@ -46,12 +44,6 @@ KsResult ks_test(std::vector<double> sample,
   result.p_value =
       kolmogorov_survival((sqrt_n + 0.12 + 0.11 / sqrt_n) * d);
   return result;
-}
-
-KsResult ks_test(std::vector<double> sample,
-                 const Distribution& distribution) {
-  return ks_test(std::move(sample),
-                 [&distribution](double x) { return distribution.cdf(x); });
 }
 
 }  // namespace rascal::stats

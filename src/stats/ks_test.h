@@ -11,8 +11,6 @@
 
 namespace rascal::stats {
 
-class Distribution;
-
 struct KsResult {
   double statistic = 0.0;  // sup |F_n(x) - F(x)|
   double p_value = 1.0;    // asymptotic (Kolmogorov distribution)
@@ -29,10 +27,6 @@ struct KsResult {
 /// std::invalid_argument on an empty sample.
 [[nodiscard]] KsResult ks_test(std::vector<double> sample,
                                const std::function<double(double)>& cdf);
-
-/// Convenience overload against a Distribution.
-[[nodiscard]] KsResult ks_test(std::vector<double> sample,
-                               const Distribution& distribution);
 
 /// Asymptotic Kolmogorov distribution survival function:
 /// P(sqrt(n) D_n > x) for large n.

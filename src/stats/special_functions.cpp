@@ -226,4 +226,29 @@ double standard_normal_quantile(double p) {
   return x;
 }
 
+double chi_square_quantile(double dof, double p) {
+  if (!(dof > 0.0)) {
+    throw std::invalid_argument(
+        "chi_square_quantile: degrees of freedom must be > 0");
+  }
+  if (!(p > 0.0) || !(p < 1.0)) {
+    throw std::domain_error("chi_square_quantile: p outside (0, 1)");
+  }
+  return 2.0 * inverse_regularized_gamma_p(dof / 2.0, p);
+}
+
+double fisher_f_quantile(double d1, double d2, double p) {
+  if (!(d1 > 0.0 && d2 > 0.0)) {
+    throw std::invalid_argument(
+        "fisher_f_quantile: degrees of freedom must be > 0");
+  }
+  if (!(p > 0.0) || !(p < 1.0)) {
+    throw std::domain_error("fisher_f_quantile: p outside (0, 1)");
+  }
+  // X ~ F(d1, d2) maps to Z = d1 X / (d1 X + d2) ~ Beta(d1/2, d2/2).
+  const double z = inverse_regularized_beta(d1 / 2.0, d2 / 2.0, p);
+  if (z >= 1.0) return std::numeric_limits<double>::infinity();
+  return d2 * z / (d1 * (1.0 - z));
+}
+
 }  // namespace rascal::stats

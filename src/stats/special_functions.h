@@ -1,8 +1,9 @@
-// Special functions underpinning the distribution layer: regularized
-// incomplete gamma and beta functions and their inverses, plus the
-// standard-normal quantile.  Implementations follow the classic
-// series / continued-fraction expansions (Abramowitz & Stegun 6.5,
-// 26.5; Lentz's algorithm for the continued fractions).
+// Special functions underpinning the estimators: regularized
+// incomplete gamma and beta functions and their inverses, the
+// chi-square and F quantiles built on them (the paper's Eq. 1 and
+// Eq. 2), plus the standard-normal quantile.  Implementations follow
+// the classic series / continued-fraction expansions (Abramowitz &
+// Stegun 6.5, 26.5; Lentz's algorithm for the continued fractions).
 #pragma once
 
 namespace rascal::stats {
@@ -32,5 +33,15 @@ namespace rascal::stats {
 /// Standard normal quantile (inverse CDF) for p in (0, 1).
 /// Acklam's rational approximation refined with one Halley step.
 [[nodiscard]] double standard_normal_quantile(double p);
+
+/// Chi-square quantile: x with P(chi2(dof) <= x) = p.  Throws
+/// std::invalid_argument for dof <= 0 and std::domain_error for p
+/// outside (0, 1).
+[[nodiscard]] double chi_square_quantile(double dof, double p);
+
+/// Fisher F(d1, d2) quantile, +infinity where the beta inverse
+/// saturates at 1.  Throws std::invalid_argument for d1 <= 0 or
+/// d2 <= 0 and std::domain_error for p outside (0, 1).
+[[nodiscard]] double fisher_f_quantile(double d1, double d2, double p);
 
 }  // namespace rascal::stats

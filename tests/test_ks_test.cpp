@@ -2,17 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/distributions.h"
+#include <cmath>
+
 #include "stats/rng.h"
+#include "stats/special_functions.h"
 
 namespace rascal::stats {
 namespace {
 
-std::vector<double> draw(const Distribution& d, std::size_t n,
-                         std::uint64_t seed) {
+std::function<double(double)> exponential_cdf(double rate) {
+  return [rate](double x) { return x < 0.0 ? 0.0 : -std::expm1(-rate * x); };
+}
+
+std::vector<double> exponential_draws(double rate, std::size_t n,
+                                      std::uint64_t seed) {
   RandomEngine rng(seed);
   std::vector<double> out(n);
-  for (double& x : out) x = d.sample(rng);
+  for (double& x : out) x = rng.exponential(rate);
   return out;
 }
 
@@ -25,23 +31,26 @@ TEST(Kolmogorov, SurvivalFunctionKnownValues) {
 }
 
 TEST(KsTest, AcceptsCorrectHypothesis) {
-  const Exponential e(2.0);
-  const auto result = ks_test(draw(e, 5000, 1), e);
+  const auto result = ks_test(exponential_draws(2.0, 5000, 1),
+                              exponential_cdf(2.0));
   EXPECT_TRUE(result.accepts(0.01)) << "p=" << result.p_value;
   EXPECT_LT(result.statistic, 0.03);
 }
 
 TEST(KsTest, RejectsWrongRate) {
-  const Exponential truth(2.0);
-  const Exponential wrong(3.0);
-  const auto result = ks_test(draw(truth, 5000, 2), wrong);
+  const auto result = ks_test(exponential_draws(2.0, 5000, 2),
+                              exponential_cdf(3.0));
   EXPECT_FALSE(result.accepts(0.01)) << "p=" << result.p_value;
 }
 
 TEST(KsTest, RejectsWrongFamily) {
-  const Uniform truth(0.0, 1.0);
-  const Normal wrong(0.5, 0.29);  // same mean/variance, wrong shape
-  const auto result = ks_test(draw(truth, 8000, 3), wrong);
+  // U(0,1) draws against a normal with the same mean and variance.
+  RandomEngine rng(3);
+  std::vector<double> sample(8000);
+  for (double& x : sample) x = rng.uniform01();
+  const auto result = ks_test(std::move(sample), [](double x) {
+    return standard_normal_cdf((x - 0.5) / 0.29);
+  });
   EXPECT_FALSE(result.accepts(0.01));
 }
 
@@ -65,17 +74,7 @@ TEST(KsTest, RngExponentialSamplesPassKs) {
   RandomEngine rng(4);
   std::vector<double> sample(4000);
   for (double& x : sample) x = rng.exponential(0.7);
-  EXPECT_TRUE(ks_test(std::move(sample), Exponential(0.7)).accepts(0.01));
-}
-
-TEST(KsTest, QuantileSamplingPassesKsForEveryFamily) {
-  RandomEngine rng(5);
-  const LogNormal ln(0.5, 0.4);
-  const Weibull wb(1.8, 3.0);
-  const Gamma gm(2.5, 1.5);
-  EXPECT_TRUE(ks_test(draw(ln, 3000, 6), ln).accepts(0.01));
-  EXPECT_TRUE(ks_test(draw(wb, 3000, 7), wb).accepts(0.01));
-  EXPECT_TRUE(ks_test(draw(gm, 3000, 8), gm).accepts(0.01));
+  EXPECT_TRUE(ks_test(std::move(sample), exponential_cdf(0.7)).accepts(0.01));
 }
 
 }  // namespace

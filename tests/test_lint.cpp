@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -24,10 +25,10 @@
 #include "models/hadb_pair.h"
 #include "models/hadb_pair_explicit.h"
 #include "models/hadb_spares.h"
+#include "models/kofn_as.h"
 #include "models/params.h"
 #include "models/single_instance.h"
 #include "models/upgrade.h"
-#include "models/web_tier.h"
 #include "report/diagnostics.h"
 
 namespace rascal::lint {
@@ -451,8 +452,10 @@ TEST(LintModelFile, ParamsUsedByOtherParamsAreNotUnused) {
 }
 
 TEST(LintModelFile, LoadModelFailsFastOnErrors) {
-  // Written through a temp file because load_model wants a path.
-  const std::string path = ::testing::TempDir() + "/broken_lint.rasc";
+  // Written through a temp file because load_model wants a path.  The
+  // name is this case's own, so parallel ctest processes never share it.
+  const std::string path =
+      ::testing::TempDir() + "/LoadModelFailsFastOnErrors.rasc";
   {
     std::ofstream out(path);
     out << "state Up reward 1\nstate Down reward 0\n"
@@ -460,6 +463,7 @@ TEST(LintModelFile, LoadModelFailsFastOnErrors) {
   }
   EXPECT_THROW((void)io::load_model(path), LintError);
   EXPECT_NO_THROW((void)io::load_model(path, io::LintOnLoad::kOff));
+  std::remove(path.c_str());
 }
 
 TEST(LintModelFile, ParseErrorsReportLineAndColumn) {
@@ -485,8 +489,7 @@ TEST(LintPaperModels, AllSevenPaperModelsLintClean) {
        models::app_server_n_instance_model(4).bind(params)},
       {"hadb_pair", models::hadb_pair_model().bind(params)},
       {"hadb_pair_explicit", models::hadb_pair_explicit_model(params)},
-      {"web_tier",
-       models::web_tier_model(2).bind(models::default_web_parameters())},
+      {"kofn_as_4of6", models::kofn_as_model({})},
       {"upgrade",
        models::dual_cluster_upgrade_model().bind(
            models::upgrade_parameters_for(params, 2, 2, 12.0, 2.0,

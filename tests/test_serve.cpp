@@ -186,7 +186,10 @@ TEST(ServeSink, ChaosWriteFailureIsCountedNotSilent) {
 class ServeBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = testing::TempDir() + "serve_batch_model.rasc";
+    // One file per case: ctest runs the cases as parallel processes
+    // that share TempDir(), and each TearDown deletes its own file.
+    const auto* info = testing::UnitTest::GetInstance()->current_test_info();
+    model_path_ = testing::TempDir() + "serve_batch_" + info->name() + ".rasc";
     std::ofstream model(model_path_);
     model << "model test pair\n"
              "param La 0.002\n"
@@ -236,6 +239,22 @@ TEST_F(ServeBatchTest, UnknownModelBecomesErrorRecord) {
   EXPECT_EQ(result.failed, 1u);
   EXPECT_EQ(result.succeeded, 1u);
   EXPECT_NE(out.str().find("\"status\":\"error\""), std::string::npos);
+}
+
+TEST_F(ServeBatchTest, UndeclaredParameterBecomesModelErrorRecord) {
+  // The solve would never read NOPE, so answering would report the
+  // unperturbed model as if the override had applied.
+  const std::vector<std::string> lines = {
+      request_line(", \"set\": {\"NOPE\": 1}"), request_line()};
+  std::ostringstream out;
+  const BatchResult result = run_batch(lines, out, {});
+  EXPECT_EQ(result.failed, 1u);
+  EXPECT_EQ(result.succeeded, 1u);
+  EXPECT_NE(out.str().find("\"index\":0,\"status\":\"error\","
+                           "\"class\":\"model\""),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("'NOPE'"), std::string::npos) << out.str();
 }
 
 TEST_F(ServeBatchTest, ColdAndWarmCacheBitIdentical) {

@@ -109,5 +109,30 @@ TEST(StandardNormal, QuantileDomainChecks) {
   EXPECT_THROW((void)standard_normal_quantile(1.0), std::domain_error);
 }
 
+TEST(ChiSquare, PaperEquation2Quantiles) {
+  // Values used by the paper's Equation (2) with 0 failures:
+  // chi2_{0.95}(2) = 5.991, chi2_{0.995}(2) = 10.597.
+  EXPECT_NEAR(chi_square_quantile(2.0, 0.95), 5.99146, 1e-4);
+  EXPECT_NEAR(chi_square_quantile(2.0, 0.995), 10.59663, 1e-4);
+}
+
+TEST(ChiSquare, QuantileDomainChecks) {
+  EXPECT_THROW((void)chi_square_quantile(0.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)chi_square_quantile(2.0, 0.0), std::domain_error);
+  EXPECT_THROW((void)chi_square_quantile(2.0, 1.0), std::domain_error);
+}
+
+TEST(FisherF, LargeD2ApproachesScaledChiSquare) {
+  // F(d1, inf) -> chi2(d1)/d1.
+  EXPECT_NEAR(fisher_f_quantile(2.0, 1e7, 0.95), 5.99146 / 2.0, 1e-3);
+}
+
+TEST(FisherF, QuantileDomainChecks) {
+  EXPECT_THROW((void)fisher_f_quantile(0.0, 2.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)fisher_f_quantile(2.0, 0.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)fisher_f_quantile(2.0, 2.0, 0.0), std::domain_error);
+  EXPECT_THROW((void)fisher_f_quantile(2.0, 2.0, 1.0), std::domain_error);
+}
+
 }  // namespace
 }  // namespace rascal::stats

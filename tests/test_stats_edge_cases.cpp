@@ -1,41 +1,41 @@
 // Edge-of-domain tests for the stats layer: KS at the smallest legal
-// sample sizes, independence of nested RandomEngine::split substreams,
-// and distribution machinery at extreme (but legal) parameters.
+// sample sizes and independence of nested RandomEngine::split
+// substreams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
-#include "stats/distributions.h"
 #include "stats/ks_test.h"
 #include "stats/rng.h"
 
 namespace rascal::stats {
 namespace {
 
+double uniform01_cdf(double x) { return std::clamp(x, 0.0, 1.0); }
+
 // ---- KS at tiny sample sizes ------------------------------------------
 
 TEST(KsEdge, EmptySampleIsRejectedUpFront) {
-  EXPECT_THROW((void)ks_test({}, Uniform(0.0, 1.0)), std::invalid_argument);
+  EXPECT_THROW((void)ks_test({}, uniform01_cdf), std::invalid_argument);
 }
 
 TEST(KsEdge, SingleObservationHasExactStatistic) {
   // With one observation x, D_1 = max(F(x), 1 - F(x)).
-  const Uniform uniform(0.0, 1.0);
-  const auto result = ks_test({0.25}, uniform);
+  const auto result = ks_test({0.25}, uniform01_cdf);
   EXPECT_EQ(result.sample_size, 1u);
   EXPECT_NEAR(result.statistic, 0.75, 1e-12);
   EXPECT_GE(result.p_value, 0.0);
   EXPECT_LE(result.p_value, 1.0);
   // A perfectly central observation gives the smallest possible D_1.
-  EXPECT_NEAR(ks_test({0.5}, uniform).statistic, 0.5, 1e-12);
+  EXPECT_NEAR(ks_test({0.5}, uniform01_cdf).statistic, 0.5, 1e-12);
 }
 
 TEST(KsEdge, TwoObservationsMatchHandComputedStatistic) {
   // Sorted sample {0.1, 0.9} vs U(0,1): sup deviation at the first
   // point is max over steps |i/n - F|, |F - (i-1)/n| = 0.4 both sides.
-  const auto result = ks_test({0.9, 0.1}, Uniform(0.0, 1.0));
+  const auto result = ks_test({0.9, 0.1}, uniform01_cdf);
   EXPECT_EQ(result.sample_size, 2u);
   EXPECT_NEAR(result.statistic, 0.4, 1e-12);
 }
@@ -44,17 +44,21 @@ TEST(KsEdge, TinySampleDoesNotSpuriouslyReject) {
   // n = 1..4 has almost no power; the test must stay conservative
   // rather than reject a correct hypothesis.
   RandomEngine rng(7);
-  const Exponential exponential(2.0);
+  const auto exponential_cdf = [](double x) { return -std::expm1(-2.0 * x); };
   for (std::size_t n = 1; n <= 4; ++n) {
     std::vector<double> sample;
-    for (std::size_t i = 0; i < n; ++i) sample.push_back(exponential.sample(rng));
-    EXPECT_TRUE(ks_test(sample, exponential).accepts(0.01)) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      sample.push_back(rng.exponential(2.0));
+    }
+    EXPECT_TRUE(ks_test(sample, exponential_cdf).accepts(0.01)) << "n=" << n;
   }
 }
 
 TEST(KsEdge, DegenerateConstantSampleRejectsContinuousModel) {
   const std::vector<double> constant(200, 3.0);
-  EXPECT_FALSE(ks_test(constant, Uniform(0.0, 10.0)).accepts(0.05));
+  EXPECT_FALSE(ks_test(constant, [](double x) {
+                 return std::clamp(x / 10.0, 0.0, 1.0);
+               }).accepts(0.05));
 }
 
 // ---- nested split independence ----------------------------------------
@@ -75,7 +79,7 @@ TEST(SplitEdge, NestedSubstreamsPassPairwiseKs) {
     }
   }
   for (std::size_t s = 0; s < kStreams; ++s) {
-    EXPECT_TRUE(ks_test(streams[s], Uniform(0.0, 1.0)).accepts(0.001))
+    EXPECT_TRUE(ks_test(streams[s], uniform01_cdf).accepts(0.001))
         << "substream " << s << " is not uniform";
   }
   for (std::size_t a = 0; a < kStreams; ++a) {
@@ -122,74 +126,6 @@ TEST(SplitEdge, SplitIsStableUnderParentConsumption) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(before.uniform01(), after.uniform01());
   }
-}
-
-// ---- distributions at extreme parameters ------------------------------
-
-TEST(DistributionEdge, ExponentialWithExtremeRates) {
-  const Exponential fast(1e12);
-  const Exponential slow(1e-12);
-  EXPECT_NEAR(fast.mean(), 1e-12, 1e-24);
-  EXPECT_NEAR(slow.mean(), 1e12, 1.0);
-  EXPECT_NEAR(fast.cdf(1.0), 1.0, 1e-15);
-  EXPECT_NEAR(slow.cdf(1e-3), 1e-15, 1e-16);
-  RandomEngine rng(1);
-  for (int i = 0; i < 100; ++i) {
-    const double x = fast.sample(rng);
-    EXPECT_TRUE(std::isfinite(x));
-    EXPECT_GE(x, 0.0);
-  }
-  EXPECT_THROW(Exponential(0.0), std::invalid_argument);
-  EXPECT_THROW(Exponential(-1.0), std::invalid_argument);
-}
-
-TEST(DistributionEdge, QuantileAtProbabilityExtremes) {
-  const Exponential exponential(1.0);
-  // The domain is the OPEN interval (0, 1): the endpoints throw
-  // rather than silently returning +/-infinity.
-  EXPECT_THROW((void)exponential.quantile(0.0), std::domain_error);
-  EXPECT_THROW((void)exponential.quantile(1.0), std::domain_error);
-  EXPECT_TRUE(std::isfinite(exponential.quantile(1e-300)));
-  // The far tail must stay monotone and finite well past double
-  // precision of the CDF.
-  EXPECT_GT(exponential.quantile(1.0 - 1e-12),
-            exponential.quantile(1.0 - 1e-6));
-}
-
-TEST(DistributionEdge, NearDegenerateLogNormalAndNormal) {
-  const Normal narrow(5.0, 1e-9);
-  EXPECT_NEAR(narrow.quantile(0.5), 5.0, 1e-7);
-  EXPECT_NEAR(narrow.cdf(5.0 + 1e-6), 1.0, 1e-9);
-  EXPECT_NEAR(narrow.cdf(5.0 - 1e-6), 0.0, 1e-9);
-
-  const LogNormal spread(0.0, 5.0);  // heavy tail, huge variance
-  EXPECT_TRUE(std::isfinite(spread.mean()));
-  EXPECT_TRUE(std::isfinite(spread.variance()));
-  EXPECT_GT(spread.variance(), 1e10);
-  EXPECT_NEAR(spread.cdf(spread.quantile(0.99)), 0.99, 1e-9);
-}
-
-TEST(DistributionEdge, GammaShapeBelowOneSamplesFinite) {
-  // shape < 1 is the regime where naive Gamma samplers break (density
-  // unbounded at 0).
-  const Gamma gamma(0.05, 2.0);
-  RandomEngine rng(13);
-  double sum = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    const double x = gamma.sample(rng);
-    ASSERT_TRUE(std::isfinite(x));
-    ASSERT_GE(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / 2000.0, gamma.mean(), 0.01);
-}
-
-TEST(DistributionEdge, UniformWithExtremeBounds) {
-  const Uniform wide(-1e300, 1e300);
-  EXPECT_TRUE(std::isfinite(wide.mean()));
-  EXPECT_NEAR(wide.cdf(0.0), 0.5, 1e-12);
-  EXPECT_THROW(Uniform(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Uniform(2.0, 1.0), std::invalid_argument);
 }
 
 }  // namespace

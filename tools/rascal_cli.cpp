@@ -490,8 +490,8 @@ int report_solve_quality(const ctmc::SteadyState& steady,
 
 int run_solve(const Arguments& args) {
   const io::ModelFile file = io::load_model(args.model_path);
-  if (!file.name.empty()) std::printf("model: %s\n\n", file.name.c_str());
   const ctmc::Ctmc chain = file.bind(args.overrides);
+  if (!file.name.empty()) std::printf("model: %s\n\n", file.name.c_str());
   const auto steady = ctmc::solve_steady_state(
       chain, args.method, ctmc::Validation::kOn,
       interactive_solve_control(args));
@@ -563,7 +563,7 @@ int run_sweep(const Arguments& args) {
       };
   const auto values = analysis::linspace(args.from, args.to, args.points);
   const auto sweep = analysis::parametric_sweep(
-      metric_fn, file.parameters.with(args.overrides), args.sweep_param,
+      metric_fn, file.parameters_with(args.overrides), args.sweep_param,
       values, args.threads);
 
   std::vector<double> ys;
@@ -622,7 +622,7 @@ int run_lump(const Arguments& args) {
 
 int run_sens(const Arguments& args) {
   const io::ModelFile file = io::load_model(args.model_path);
-  const expr::ParameterSet params = file.parameters.with(args.overrides);
+  const expr::ParameterSet params = file.parameters_with(args.overrides);
   report::TextTable table({"Parameter", "Value", "dA/dtheta",
                            "dDowntime/dtheta (min/yr per unit)"});
   for (const std::string& name : file.model.parameters()) {
@@ -719,6 +719,15 @@ int run_uncertainty(const Arguments& args) {
     return usage();
   }
   const io::ModelFile file = io::load_model(args.model_path);
+  const expr::ParameterSet base = file.parameters_with(args.overrides);
+  // A range over a parameter the model does not declare draws values
+  // nothing reads; refuse it (R020) instead of reporting the spread of
+  // an unperturbed model.
+  const lint::LintReport range_report = lint::lint_ranges(args.ranges, base);
+  if (range_report.has_code(lint::codes::kUndefinedParameter)) {
+    std::cerr << report::render_diagnostics_text(range_report);
+    return kExitUsage;
+  }
   const ctmc::SolveControl solve_control = batch_solve_control(args);
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
@@ -746,8 +755,8 @@ int run_uncertainty(const Arguments& args) {
   if (checkpoint_error != kExitOk) return checkpoint_error;
   if (checkpoint) options.control.checkpoint = &*checkpoint;
 
-  const auto result = analysis::uncertainty_analysis(
-      metric_fn, file.parameters.with(args.overrides), args.ranges, options);
+  const auto result = analysis::uncertainty_analysis(metric_fn, base,
+                                                     args.ranges, options);
 
   if (result.interrupted) {
     print_partial_marker("samples", result.interrupt_reason,
@@ -1050,6 +1059,9 @@ int main(int argc, char** argv) {
   } catch (const io::ModelFileError& e) {
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
+  } catch (const io::UndeclaredParameterError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    code = kExitUsage;
   } catch (const lint::LintError& e) {  // derives from std::domain_error
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
