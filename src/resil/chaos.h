@@ -10,8 +10,8 @@
 //   solver-fault@0        0th supervised solve attempt throws a
 //                         retryable resil::TransientError (serve)
 //   sink-write-fail@2     2nd results-sink record write fails
-//   checkpoint-write-fail@0  0th checkpoint flush fails as if ENOSPC
-//                            hit the tmp+rename write
+//   checkpoint-write-fail@0  0th checkpoint append fails as if ENOSPC
+//                            hit it, before any byte is written
 //   cache-publish-fail@0  0th publish to the shared solve cache is
 //                         dropped (results must stay bit-identical)
 //   worker-abandon@5      the worker chunk containing index 5 returns

@@ -1,10 +1,18 @@
 #include "resil/checkpoint.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fcntl.h>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <sys/stat.h>
+#include <unistd.h>
+#include <utility>
 
 #include "obs/obs.h"
 #include "resil/chaos.h"
@@ -13,11 +21,16 @@ namespace rascal::resil {
 
 namespace {
 
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-constexpr char kFormatTag[] = "rascal-checkpoint-v1";
+constexpr char kFormatTag[] = "rascal-checkpoint-v2";
+constexpr std::string_view kV1Prefix = "{\"format\":\"rascal-checkpoint-v1\"";
+constexpr std::string_view kSegmentOpen = "{\"entries\":[";
+// Every line ends in `,"checksum":"<16 hex>"}`.
+constexpr std::string_view kChecksumField = ",\"checksum\":\"";
+constexpr std::size_t kChecksumSuffix = kChecksumField.size() + 16 + 2;
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ULL;
+std::uint64_t fnv1a(std::string_view text, std::uint64_t hash = kFnvOffset) {
   for (const char c : text) {
     hash ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     hash *= kFnvPrime;
@@ -30,6 +43,12 @@ std::string hex16(std::uint64_t value) {
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
+}
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char buffer[20];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
 }
 
 // JSON string escaping for failure notes: arbitrary what() text must
@@ -55,18 +74,46 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-// Strict sequential scanner over the exact format serialize() emits.
+void append_entry(std::string& out, const CheckpointEntry& entry) {
+  out += "{\"i\":";
+  append_u64(out, entry.index);
+  out += ",\"s\":";
+  append_u64(out, static_cast<std::uint64_t>(entry.status));
+  out += ",\"w\":[";
+  for (std::size_t k = 0; k < entry.words.size(); ++k) {
+    if (k > 0) out += ',';
+    append_u64(out, entry.words[k]);
+  }
+  out += ']';
+  if (!entry.note.empty()) {
+    out += ",\"note\":\"";
+    append_escaped(out, entry.note);
+    out += '"';
+  }
+  out += '}';
+}
+
+// Ends a line whose fields are already in `out` with its checksum.
+void close_line(std::string& out, std::uint64_t checksum) {
+  out += kChecksumField;
+  out += hex16(checksum);
+  out += "\"}\n";
+}
+
+// Strict sequential scanner over the exact format the writer emits.
 // Anything unexpected raises CheckpointError: a checkpoint is either
-// bit-exactly loadable or rejected, never half-parsed.
+// bit-exactly loadable or rejected, never half-parsed.  `base` is the
+// text's offset in the file, so messages give file byte offsets.
 class Scanner {
  public:
-  explicit Scanner(std::string_view text) : text_(text) {}
+  Scanner(std::string_view text, std::size_t base)
+      : text_(text), base_(base) {}
 
   void expect(std::string_view literal) {
     if (text_.substr(pos_, literal.size()) != literal) {
-      throw CheckpointError("checkpoint: malformed file (expected '" +
+      throw CheckpointError("is malformed (expected '" +
                             std::string(literal) + "' at byte " +
-                            std::to_string(pos_) + ")");
+                            std::to_string(base_ + pos_) + ")");
     }
     pos_ += literal.size();
   }
@@ -79,12 +126,19 @@ class Scanner {
 
   std::uint64_t parse_u64() {
     if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      throw CheckpointError("checkpoint: malformed file (expected digit at "
-                            "byte " + std::to_string(pos_) + ")");
+      throw CheckpointError("is malformed (expected a digit at byte " +
+                            std::to_string(base_ + pos_) + ")");
     }
+    const std::size_t start = pos_;
     std::uint64_t value = 0;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+      if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+        throw CheckpointError("is malformed (number at byte " +
+                              std::to_string(base_ + start) +
+                              " overflows 64 bits)");
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     return value;
@@ -106,7 +160,7 @@ class Scanner {
           case 't': out += '\t'; break;
           case 'u': {
             if (pos_ + 4 > text_.size()) {
-              throw CheckpointError("checkpoint: truncated \\u escape");
+              throw CheckpointError("has a truncated \\u escape");
             }
             unsigned code = 0;
             for (int k = 0; k < 4; ++k) {
@@ -116,14 +170,14 @@ class Scanner {
               else if (h >= 'a' && h <= 'f') {
                 code |= static_cast<unsigned>(h - 'a' + 10);
               } else {
-                throw CheckpointError("checkpoint: bad \\u escape");
+                throw CheckpointError("has a bad \\u escape");
               }
             }
             out += static_cast<char>(code);
             break;
           }
           default:
-            throw CheckpointError("checkpoint: unknown escape in string");
+            throw CheckpointError("has an unknown escape in a string");
         }
       } else {
         out += c;
@@ -137,12 +191,13 @@ class Scanner {
 
  private:
   std::string_view text_;
+  std::size_t base_ = 0;
   std::size_t pos_ = 0;
 };
 
-std::uint64_t parse_hex16(const std::string& text, const char* what) {
+std::uint64_t parse_hex16(std::string_view text, const char* what) {
   if (text.size() != 16) {
-    throw CheckpointError(std::string("checkpoint: bad ") + what);
+    throw CheckpointError(std::string("has a bad ") + what);
   }
   std::uint64_t value = 0;
   for (const char h : text) {
@@ -151,10 +206,77 @@ std::uint64_t parse_hex16(const std::string& text, const char* what) {
     else if (h >= 'a' && h <= 'f') {
       value |= static_cast<std::uint64_t>(h - 'a' + 10);
     } else {
-      throw CheckpointError(std::string("checkpoint: bad ") + what);
+      throw CheckpointError(std::string("has a bad ") + what);
     }
   }
   return value;
+}
+
+// Verifies one line's checksum against the chain and returns its
+// fields (the line without its checksum field and closing brace).
+std::string_view verified_fields(std::string_view line, std::uint64_t seed,
+                                 std::uint64_t& checksum) {
+  if (line.size() < kChecksumSuffix ||
+      line.substr(line.size() - kChecksumSuffix, kChecksumField.size()) !=
+          kChecksumField ||
+      !line.ends_with("\"}")) {
+    throw CheckpointError("is truncated or not a rascal checkpoint");
+  }
+  const std::string_view fields =
+      line.substr(0, line.size() - kChecksumSuffix);
+  checksum = parse_hex16(line.substr(line.size() - 18, 16), "checksum");
+  if (fnv1a("}", fnv1a(fields, seed)) != checksum) {
+    throw CheckpointError(
+        "failed its checksum — the file is corrupt (truncated, modified, "
+        "or a line is missing, repeated or out of order)");
+  }
+  return fields;
+}
+
+void parse_header(Scanner& scan, CheckpointFile& file) {
+  scan.expect("{\"format\":\"");
+  scan.expect(kFormatTag);
+  scan.expect("\",\"kind\":");
+  file.kind = scan.parse_string();
+  scan.expect(",\"digest\":");
+  file.digest = parse_hex16(scan.parse_string(), "digest");
+  scan.expect(",\"total\":");
+  file.total = scan.parse_u64();
+}
+
+void parse_segment(Scanner& scan, CheckpointFile& file) {
+  scan.expect(kSegmentOpen);
+  if (scan.consume("]")) return;
+  for (;;) {
+    CheckpointEntry entry;
+    scan.expect("{\"i\":");
+    entry.index = scan.parse_u64();
+    if (entry.index >= file.total) {
+      throw CheckpointError("has an entry index out of range (" +
+                            std::to_string(entry.index) + " of " +
+                            std::to_string(file.total) + ")");
+    }
+    scan.expect(",\"s\":");
+    const std::uint64_t status = scan.parse_u64();
+    if (status != static_cast<std::uint64_t>(EntryStatus::kOk) &&
+        status != static_cast<std::uint64_t>(EntryStatus::kFailed)) {
+      throw CheckpointError("has an unknown entry status");
+    }
+    entry.status = static_cast<EntryStatus>(status);
+    scan.expect(",\"w\":[");
+    if (!scan.consume("]")) {
+      for (;;) {
+        entry.words.push_back(scan.parse_u64());
+        if (scan.consume("]")) break;
+        scan.expect(",");
+      }
+    }
+    if (scan.consume(",\"note\":")) entry.note = scan.parse_string();
+    scan.expect("}");
+    file.entries.push_back(std::move(entry));
+    if (scan.consume("]")) return;
+    scan.expect(",");
+  }
 }
 
 std::size_t flush_cadence_from_env() {
@@ -164,6 +286,21 @@ std::size_t flush_cadence_from_env() {
   const unsigned long value = std::strtoul(text, &end, 10);
   if (end == text || *end != '\0' || value == 0) return 32;
   return static_cast<std::size_t>(value);
+}
+
+// Writes all of `text`; false (errno set) on an error or a short write
+// that cannot continue.
+bool write_all(int fd, std::string_view text) {
+  while (!text.empty()) {
+    const ssize_t written = ::write(fd, text.data(), text.size());
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) {
+      if (written == 0) errno = EIO;
+      return false;
+    }
+    text.remove_prefix(static_cast<std::size_t>(written));
+  }
+  return true;
 }
 
 }  // namespace
@@ -182,10 +319,7 @@ DigestBuilder& DigestBuilder::add_f64(double value) {
 
 DigestBuilder& DigestBuilder::add_str(std::string_view text) {
   add_u64(text.size());
-  for (const char c : text) {
-    hash_ ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    hash_ *= kFnvPrime;
-  }
+  hash_ = fnv1a(text, hash_);
   return *this;
 }
 
@@ -197,6 +331,10 @@ Checkpointer::Checkpointer(std::string path, std::string kind,
       total_(total),
       flush_every_(flush_cadence_from_env()) {}
 
+Checkpointer::~Checkpointer() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 void Checkpointer::set_flush_every(std::size_t every) noexcept {
   flush_every_ = every > 0 ? every : 1;
 }
@@ -207,7 +345,7 @@ void Checkpointer::set_write_failure_policy(
 }
 
 std::uint64_t Checkpointer::write_failures() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(write_mutex_);
   return write_failures_;
 }
 
@@ -228,83 +366,89 @@ std::size_t Checkpointer::resume_from_disk() {
                           std::to_string(file.total) + ", this run expects " +
                           std::to_string(total_) + ")");
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (CheckpointEntry& entry : file.entries) {
-    if (entry.index >= total_) {
-      throw CheckpointError("checkpoint: entry index out of range");
+  // Index order, and the last record of an index wins.
+  std::vector<CheckpointEntry> restored;
+  restored.reserve(file.entries.size());
+  std::stable_sort(file.entries.begin(), file.entries.end(),
+                   [](const CheckpointEntry& a, const CheckpointEntry& b) {
+                     return a.index < b.index;
+                   });
+  for (std::size_t k = 0; k < file.entries.size(); ++k) {
+    if (k + 1 < file.entries.size() &&
+        file.entries[k + 1].index == file.entries[k].index) {
+      continue;
     }
-    entries_[entry.index] = std::move(entry);
+    restored.push_back(std::move(file.entries[k]));
   }
+
+  const std::scoped_lock lock(mutex_, write_mutex_);
+  done_.assign(total_, false);
+  for (const CheckpointEntry& entry : restored) done_[entry.index] = true;
+  done_count_ = restored.size();
+  restored_ = std::move(restored);
+  created_ = true;
+  chain_ = file.last_checksum;
+  file_bytes_ = file.size_bytes;
+  on_disk_ = file.entries.size();
   if (obs::enabled()) {
-    obs::counter("resil.checkpoint.restored").add(entries_.size());
+    obs::counter("resil.checkpoint.restored").add(restored_.size());
   }
-  return entries_.size();
+  return restored_.size();
 }
 
-void Checkpointer::record(CheckpointEntry entry) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_[entry.index] = std::move(entry);
-  ++unflushed_;
-  if (unflushed_ >= flush_every_) flush_locked();
+void Checkpointer::record(const CheckpointEntry& entry) {
+  if (entry.index >= total_) {
+    // The reader would reject the whole file for it.
+    throw CheckpointError("checkpoint: index " + std::to_string(entry.index) +
+                          " is out of range (total " +
+                          std::to_string(total_) + ")");
+  }
+  std::string text;
+  text.reserve(32 + 21 * entry.words.size() + entry.note.size());
+  append_entry(text, entry);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (pending_count_ > 0) pending_ += ',';
+  pending_ += text;
+  ++pending_count_;
+  if (done_.empty()) done_.resize(total_);
+  if (!done_[entry.index]) {
+    done_[entry.index] = true;
+    ++done_count_;
+  }
+  if (pending_count_ >= flush_every_) flush_pending(lock);
 }
 
 void Checkpointer::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  flush_locked();
+  std::unique_lock<std::mutex> lock(mutex_);
+  flush_pending(lock);
 }
 
-std::vector<CheckpointEntry> Checkpointer::entries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CheckpointEntry> out;
-  out.reserve(entries_.size());
-  for (const auto& [index, entry] : entries_) out.push_back(entry);
-  return out;
+void Checkpointer::flush_pending(std::unique_lock<std::mutex>& lock) {
+  std::string batch;
+  batch.swap(pending_);
+  const std::size_t count = std::exchange(pending_count_, 0);
+  // The write lock is taken before mutex_ is released: the next batch
+  // cannot overtake this one, yet recording goes on during the write.
+  const std::lock_guard<std::mutex> write_lock(write_mutex_);
+  lock.unlock();
+  append_locked(std::move(batch), count);
 }
 
-std::size_t Checkpointer::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::string Checkpointer::serialize_locked() const {
-  std::string body = "{\"format\":\"";
-  body += kFormatTag;
-  body += "\",\"kind\":\"";
-  append_escaped(body, kind_);
-  body += "\",\"digest\":\"" + hex16(digest_) + "\",\"total\":" +
-          std::to_string(total_) + ",\"entries\":[";
-  bool first = true;
-  for (const auto& [index, entry] : entries_) {
-    if (!first) body += ',';
-    first = false;
-    body += "{\"i\":" + std::to_string(index) +
-            ",\"s\":" + std::to_string(static_cast<unsigned>(entry.status)) +
-            ",\"w\":[";
-    for (std::size_t k = 0; k < entry.words.size(); ++k) {
-      if (k > 0) body += ',';
-      body += std::to_string(entry.words[k]);
+void Checkpointer::append_locked(std::string batch, std::size_t count) {
+  if (count > 0) {
+    if (unwritten_count_ == 0) {
+      unwritten_ = std::move(batch);
+    } else {
+      unwritten_ += ',';
+      unwritten_ += batch;
     }
-    body += ']';
-    if (!entry.note.empty()) {
-      body += ",\"note\":\"";
-      append_escaped(body, entry.note);
-      body += '"';
-    }
-    body += '}';
+    unwritten_count_ += count;
   }
-  body += "]}";
-  // The checksum covers every byte of the body; it is spliced in
-  // before the closing brace so the file stays valid JSON.
-  const std::string checksum = hex16(fnv1a(body));
-  body.pop_back();  // drop '}'
-  body += ",\"checksum\":\"" + checksum + "\"}\n";
-  return body;
-}
+  if (unwritten_count_ == 0 && created_) return;  // nothing to append
 
-void Checkpointer::flush_locked() {
-  // Any failure below keeps the entries in memory (unflushed_ stays
-  // nonzero) so a later flush retries the full set; under kTolerate
-  // the failure is counted instead of thrown.
+  // Any failure below leaves the file at its verified size and keeps
+  // the entries in unwritten_, so a later append retries them; under
+  // kTolerate the failure is counted instead of thrown.
   const auto fail = [this](const std::string& message) {
     if (write_failure_policy_ == WriteFailurePolicy::kAbort) {
       throw CheckpointError(message);
@@ -315,36 +459,85 @@ void Checkpointer::flush_locked() {
     }
   };
   if (chaos::enabled() && chaos::tick("checkpoint-write-fail")) {
-    // Simulated ENOSPC on the tmp+rename write: nothing reached disk,
-    // the previous checkpoint (if any) is still intact.
-    fail("checkpoint: write to '" + path_ + ".tmp' failed (chaos)");
+    // Simulated ENOSPC before any byte reaches the file.
+    fail("checkpoint: append to '" + path_ + "' failed (chaos)");
     return;
   }
-  const std::string text = serialize_locked();
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      fail("checkpoint: cannot open '" + tmp + "' for writing");
-      return;
-    }
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) {
-      fail("checkpoint: write to '" + tmp + "' failed");
+
+  // Checksums cover each line with its checksum field removed.
+  std::string text;
+  std::uint64_t chain = chain_;
+  if (!created_) {
+    text = "{\"format\":\"";
+    text += kFormatTag;
+    text += "\",\"kind\":\"";
+    append_escaped(text, kind_);
+    text += "\",\"digest\":\"" + hex16(digest_) + "\",\"total\":";
+    append_u64(text, total_);
+    chain = fnv1a("}", fnv1a(text));
+    close_line(text, chain);
+  }
+  if (unwritten_count_ > 0) {
+    chain = fnv1a("]}", fnv1a(unwritten_, fnv1a(kSegmentOpen, chain)));
+    text.reserve(text.size() + kSegmentOpen.size() + unwritten_.size() +
+                 kChecksumSuffix + 2);
+    text += kSegmentOpen;
+    text += unwritten_;
+    text += ']';
+    close_line(text, chain);
+  }
+
+  if (fd_ < 0) {
+    // The first append creates the file; after resume_from_disk() it
+    // continues the verified file.
+    const int flags = created_ ? O_WRONLY | O_APPEND | O_CLOEXEC
+                               : O_WRONLY | O_APPEND | O_CREAT | O_TRUNC |
+                                     O_CLOEXEC;
+    fd_ = ::open(path_.c_str(), flags, 0666);
+    if (fd_ < 0) {
+      fail("checkpoint: cannot open '" + path_ +
+           "' for writing: " + std::strerror(errno));
       return;
     }
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    fail("checkpoint: rename to '" + path_ + "' failed");
+  if (!write_all(fd_, text)) {
+    std::string message = "checkpoint: append to '" + path_ +
+                          "' failed: " + std::strerror(errno);
+    if (::ftruncate(fd_, static_cast<off_t>(file_bytes_)) != 0) {
+      message += "; cutting it back to its verified " +
+                 std::to_string(file_bytes_) + " bytes also failed: " +
+                 std::strerror(errno);
+    }
+    if (!created_) {
+      // Nothing verified yet: leave no file behind, as before the
+      // first flush.
+      ::close(fd_);
+      fd_ = -1;
+      ::unlink(path_.c_str());
+    }
+    fail(message);
     return;
   }
-  unflushed_ = 0;
+  created_ = true;
+  chain_ = chain;
+  file_bytes_ += text.size();
+  on_disk_ += unwritten_count_;
+  unwritten_.clear();
+  unwritten_count_ = 0;
   if (obs::enabled()) {
     obs::counter("resil.checkpoint.flushes").add(1);
-    obs::gauge("resil.checkpoint.entries")
-        .set(static_cast<double>(entries_.size()));
+    obs::gauge("resil.checkpoint.entries").set(static_cast<double>(on_disk_));
   }
+}
+
+std::vector<CheckpointEntry> Checkpointer::entries() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return restored_;
+}
+
+std::size_t Checkpointer::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return done_count_;
 }
 
 bool checkpoint_file_exists(const std::string& path) {
@@ -359,71 +552,59 @@ CheckpointFile load_checkpoint_file(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string text = buffer.str();
-  while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-    text.pop_back();
+  const std::string text = buffer.str();
+  if (text.starts_with(kV1Prefix)) {
+    throw CheckpointError(
+        "checkpoint: '" + path +
+        "' is a rascal-checkpoint-v1 file; this version reads and writes "
+        "only rascal-checkpoint-v2 — delete it to start over");
   }
 
-  // Split off and verify the checksum before believing any field.
-  const std::string marker = ",\"checksum\":\"";
-  const std::size_t at = text.rfind(marker);
-  if (at == std::string::npos || !text.ends_with("\"}")) {
-    throw CheckpointError("checkpoint: '" + path +
-                          "' is truncated or not a rascal checkpoint");
-  }
-  const std::string stored_hex =
-      text.substr(at + marker.size(),
-                  text.size() - at - marker.size() - 2);
-  const std::uint64_t stored = parse_hex16(stored_hex, "checksum");
-  const std::string body = text.substr(0, at) + "}";
-  if (fnv1a(body) != stored) {
-    throw CheckpointError("checkpoint: '" + path +
-                          "' failed its checksum — the file is corrupt "
-                          "(truncated or modified); delete it to start over");
-  }
-
-  Scanner scan(body);
+  // Lines verify in order; `verified` is where the verified prefix
+  // ends, so a damaged tail can be cut off and the rest kept.
   CheckpointFile file;
-  scan.expect("{\"format\":\"");
-  scan.expect(kFormatTag);
-  scan.expect("\",\"kind\":");
-  file.kind = scan.parse_string();
-  scan.expect(",\"digest\":");
-  file.digest = parse_hex16(scan.parse_string(), "digest");
-  scan.expect(",\"total\":");
-  file.total = scan.parse_u64();
-  scan.expect(",\"entries\":[");
-  if (!scan.consume("]")) {
-    for (;;) {
-      CheckpointEntry entry;
-      scan.expect("{\"i\":");
-      entry.index = scan.parse_u64();
-      scan.expect(",\"s\":");
-      const std::uint64_t status = scan.parse_u64();
-      if (status != static_cast<std::uint64_t>(EntryStatus::kOk) &&
-          status != static_cast<std::uint64_t>(EntryStatus::kFailed)) {
-        throw CheckpointError("checkpoint: unknown entry status");
+  std::size_t verified = 0;
+  std::size_t lines = 0;
+  try {
+    if (text.empty()) throw CheckpointError("is empty");
+    std::uint64_t chain = kFnvOffset;
+    while (verified < text.size()) {
+      const std::size_t end = text.find('\n', verified);
+      if (end == std::string::npos) {
+        throw CheckpointError("ends in a torn line (no final newline)");
       }
-      entry.status = static_cast<EntryStatus>(status);
-      scan.expect(",\"w\":[");
-      if (!scan.consume("]")) {
-        for (;;) {
-          entry.words.push_back(scan.parse_u64());
-          if (scan.consume("]")) break;
-          scan.expect(",");
-        }
+      const std::string_view line =
+          std::string_view(text).substr(verified, end - verified);
+      std::uint64_t checksum = 0;
+      Scanner scan(verified_fields(line, chain, checksum), verified);
+      if (lines == 0) {
+        parse_header(scan, file);
+      } else {
+        parse_segment(scan, file);
       }
-      if (scan.consume(",\"note\":")) entry.note = scan.parse_string();
-      scan.expect("}");
-      file.entries.push_back(std::move(entry));
-      if (scan.consume("]")) break;
-      scan.expect(",");
+      if (!scan.at_end()) {
+        throw CheckpointError("has trailing bytes in line " +
+                              std::to_string(lines + 1));
+      }
+      chain = checksum;
+      ++lines;
+      verified = end + 1;
     }
+    file.last_checksum = chain;
+  } catch (const CheckpointError& error) {
+    std::string message = "checkpoint: '" + path + "' " + error.what();
+    if (lines > 0) {
+      const std::string bytes = std::to_string(verified);
+      message += "; its first " + bytes + " bytes (" + std::to_string(lines) +
+                 (lines == 1 ? " line" : " lines") + ") verify, and `truncate -s " +
+                 bytes + " '" + path + "'` keeps them — or delete it to start "
+                 "over";
+    } else {
+      message += "; delete it to start over";
+    }
+    throw CheckpointError(message);
   }
-  scan.expect("}");
-  if (!scan.at_end()) {
-    throw CheckpointError("checkpoint: trailing bytes after JSON body");
-  }
+  file.size_bytes = text.size();
   return file;
 }
 

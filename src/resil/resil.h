@@ -1,5 +1,5 @@
 // Umbrella header for the resilience layer: cooperative cancellation,
-// atomic checkpoints, and the ExecutionControl bundle that threads
+// append-only checkpoints, and the ExecutionControl bundle that threads
 // both through the parallel sampling engines.
 #pragma once
 

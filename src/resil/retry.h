@@ -33,7 +33,7 @@ enum class ErrorClass {
   kTransient,        // injected or environmental transient fault — retryable
   kCancelled,        // cooperative cancel — never retried, never recorded
   kSinkWrite,        // results sink could not write a record
-  kCheckpointWrite,  // checkpoint flush failed (ENOSPC, rename) — tolerable
+  kCheckpointWrite,  // checkpoint append failed (ENOSPC, EFBIG) — tolerable
   kInternal,         // anything unclassified — permanent, fail loudly
 };
 

@@ -28,7 +28,7 @@
 //
 // Long-running subcommands (uncertainty, campaign, batch, serve) accept
 // --checkpoint FILE / --resume / --deadline SECS: the run writes
-// periodic atomic checkpoints, drains cleanly on SIGINT/SIGTERM or
+// periodic append-only checkpoints, drains cleanly on SIGINT/SIGTERM or
 // deadline expiry with partial results clearly marked, and a resumed
 // run emits stdout byte-identical to an uninterrupted one.
 //
@@ -152,7 +152,7 @@ int usage() {
          " per solve\n"
          "\n"
          "  resilience flags (uncertainty, campaign, batch, serve):\n"
-         "    --checkpoint FILE  write periodic atomic checkpoints of"
+         "    --checkpoint FILE  write periodic append-only checkpoints of"
          " completed indices\n"
          "    --resume           continue from FILE; resumed output is"
          " byte-identical\n"
