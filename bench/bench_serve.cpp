@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ctmc/solve_cache.h"
+#include "io/model_file.h"
 #include "serve/batch.h"
 #include "serve/request.h"
 #include "serve/sink.h"
@@ -98,29 +99,31 @@ BENCHMARK(BM_SinkOrderedPush)->Arg(256)->Arg(4096);
 
 void BM_SharedCacheHit(benchmark::State& state) {
   ctmc::SharedSolveCache cache;
+  const ctmc::Ctmc chain = io::load_model(model_path()).bind();
   ctmc::SteadyState value;
   value.probabilities = {0.25, 0.75};
-  cache.insert(0x5EEDULL, value);
+  cache.insert(0x5EEDULL, chain, value);
   ctmc::SteadyState out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(0x5EEDULL, out));
+    benchmark::DoNotOptimize(cache.lookup(0x5EEDULL, chain, out));
   }
 }
 BENCHMARK(BM_SharedCacheHit);
 
 void BM_SharedCacheMiss(benchmark::State& state) {
   ctmc::SharedSolveCache cache;
+  const ctmc::Ctmc chain = io::load_model(model_path()).bind();
   ctmc::SteadyState out;
   std::uint64_t key = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(key++, out));
+    benchmark::DoNotOptimize(cache.lookup(key++, chain, out));
   }
 }
 BENCHMARK(BM_SharedCacheMiss);
 
 // End-to-end: 64-request stream over 8 distinct parameter points.
-// Cold disables the shared tier (every distinct point re-solves per
-// worker chunk); warm shares solutions across the whole stream.
+// Cold disables the cache (every request re-solves); warm shares
+// solutions across the whole stream.
 void run_batch_bench(benchmark::State& state, std::size_t cache_capacity) {
   const std::vector<std::string> lines = request_stream(64, 8);
   double hit_rate = 0.0;

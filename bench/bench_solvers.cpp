@@ -75,10 +75,8 @@ void BM_LuSteadyStateWorkspace(benchmark::State& state) {
 BENCHMARK(BM_LuSteadyStateWorkspace)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 
 // The fig7 per-sample path: one full JSAS solve per parameter draw
-// through a SolveCache.  The miss variant perturbs a parameter every
-// iteration (every draw re-solves, as uncertainty analysis does); the
-// hit variant repeats identical parameters (the generator digest
-// short-circuits the solve).
+// through a SolveCache, perturbing a parameter every iteration as
+// uncertainty analysis does.
 void BM_JsasSolveCacheMiss(benchmark::State& state) {
   const auto config = models::JsasConfig::config1();
   ctmc::SolveCache cache;
@@ -91,16 +89,6 @@ void BM_JsasSolveCacheMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JsasSolveCacheMiss);
-
-void BM_JsasSolveCacheHit(benchmark::State& state) {
-  const auto config = models::JsasConfig::config1();
-  ctmc::SolveCache cache;
-  const expr::ParameterSet params = models::default_parameters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(models::solve_jsas(config, params, cache));
-  }
-}
-BENCHMARK(BM_JsasSolveCacheHit);
 
 // Iterative solvers on a *mild* chain (they do not converge in
 // reasonable time on the stiff AS chain — that observation is the

@@ -17,10 +17,10 @@ namespace rascal::analysis {
 using ModelFunction = std::function<double(const expr::ParameterSet&)>;
 
 /// Context-aware model: additionally receives a worker-local
-/// SolveCache, letting the hot path reuse factorisation scratch and
-/// memoized solves across a whole batch instead of allocating per
-/// evaluation.  The cache never changes results (oracle-gated), so a
-/// context model must return the same bits as its plain counterpart.
+/// SolveCache, letting the hot path reuse factorisation scratch across
+/// a whole batch instead of allocating per evaluation.  The cache
+/// never changes results (oracle-gated), so a context model must
+/// return the same bits as its plain counterpart.
 using ContextModelFunction =
     std::function<double(const expr::ParameterSet&, ctmc::SolveCache&)>;
 

@@ -16,18 +16,6 @@ namespace rascal::check {
 
 namespace {
 
-const char* method_name(ctmc::SteadyStateMethod method) {
-  switch (method) {
-    case ctmc::SteadyStateMethod::kGth: return "gth";
-    case ctmc::SteadyStateMethod::kLu: return "lu";
-    case ctmc::SteadyStateMethod::kPower: return "power";
-    case ctmc::SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
-    case ctmc::SteadyStateMethod::kGmres: return "gmres";
-    case ctmc::SteadyStateMethod::kBiCgStab: return "bicgstab";
-  }
-  return "?";
-}
-
 double availability_of(const ctmc::Ctmc& chain, const linalg::Vector& pi) {
   double up = 0.0;
   for (std::size_t s = 0; s < chain.num_states(); ++s) {
@@ -83,7 +71,7 @@ OracleReport check_steady_state_consensus(const ctmc::Ctmc& chain,
       solutions.push_back(ctmc::solve_steady_state(chain, method));
     } catch (const std::exception& e) {
       ++report.checks;
-      report.failures.push_back(std::string(method_name(method)) +
+      report.failures.push_back(std::string(ctmc::to_string(method)) +
                                 ": threw: " + e.what());
       solutions.push_back({});
     }
@@ -93,7 +81,7 @@ OracleReport check_steady_state_consensus(const ctmc::Ctmc& chain,
   for (std::size_t m = 0; m < methods.size(); ++m) {
     if (solutions[m].probabilities.empty()) continue;
     report.expect_close(std::string("residual ||pi Q|| (") +
-                            method_name(methods[m]) + ")",
+                            ctmc::to_string(methods[m]) + ")",
                         solutions[m].residual, 0.0,
                         options.steady_tolerance);
   }
@@ -103,8 +91,8 @@ OracleReport check_steady_state_consensus(const ctmc::Ctmc& chain,
       const auto& pa = solutions[a].probabilities;
       const auto& pb = solutions[b].probabilities;
       if (pa.empty() || pb.empty()) continue;
-      const std::string pair = std::string(method_name(methods[a])) + " vs " +
-                               method_name(methods[b]);
+      const std::string pair = std::string(ctmc::to_string(methods[a])) +
+                               " vs " + ctmc::to_string(methods[b]);
       for (std::size_t s = 0; s < chain.num_states(); ++s) {
         report.expect_close(pair + " pi[" + chain.state_name(s) + "]",
                             pa[s], pb[s], options.steady_tolerance);
@@ -140,13 +128,13 @@ OracleReport check_steady_state_against(const ctmc::Ctmc& chain,
                              method == ctmc::SteadyStateMethod::kGaussSeidel;
       if (!iterative) {
         ++report.checks;
-        report.failures.push_back(std::string(method_name(method)) +
+        report.failures.push_back(std::string(ctmc::to_string(method)) +
                                   ": threw: " + e.what());
       }
       continue;
     }
     for (std::size_t s = 0; s < chain.num_states(); ++s) {
-      report.expect_close(std::string(method_name(method)) +
+      report.expect_close(std::string(ctmc::to_string(method)) +
                               " vs closed form pi[" + chain.state_name(s) +
                               "]",
                           steady.probabilities[s], expected[s],
@@ -192,9 +180,8 @@ OracleReport check_workspace_consensus(const ctmc::Ctmc& chain, double t,
   // One workspace shared across all methods and repeats, so every
   // solve after the first runs against deliberately dirty scratch.
   linalg::SolveWorkspace workspace;
-  ctmc::SolveCache cache;
   for (const auto method : methods) {
-    const std::string name = method_name(method);
+    const std::string name = ctmc::to_string(method);
     ctmc::SteadyState fresh;
     try {
       fresh = ctmc::solve_steady_state(chain, method);
@@ -232,23 +219,6 @@ OracleReport check_workspace_consensus(const ctmc::Ctmc& chain, double t,
                             0.0);
       }
       report.expect_close(what + " residual", reused.residual, fresh.residual,
-                          0.0);
-    }
-
-    // Single-entry memo: the first call per method misses (the key
-    // changed), the second must hit and both must match fresh exactly.
-    const ctmc::SteadyState first = cache.steady_state(chain, method);
-    const std::uint64_t hits_before = cache.hits();
-    const ctmc::SteadyState second = cache.steady_state(chain, method);
-    ++report.checks;
-    if (cache.hits() != hits_before + 1) {
-      report.failures.push_back(name + ": repeated cache solve did not hit");
-    }
-    for (std::size_t s = 0; s < chain.num_states(); ++s) {
-      report.expect_close(name + " cache pi[" + chain.state_name(s) + "]",
-                          first.probabilities[s], fresh.probabilities[s], 0.0);
-      report.expect_close(name + " cache hit pi[" + chain.state_name(s) + "]",
-                          second.probabilities[s], fresh.probabilities[s],
                           0.0);
     }
   }
@@ -357,7 +327,7 @@ OracleReport check_krylov_consensus(const ctmc::Ctmc& chain,
   linalg::SolveWorkspace workspace;
   for (const auto method : methods) {
     for (const auto precond : preconds) {
-      const std::string name = std::string(method_name(method)) + "+" +
+      const std::string name = std::string(ctmc::to_string(method)) + "+" +
                                linalg::precond_name(precond);
       ctmc::SolveControl control;
       control.precond = precond;
@@ -427,7 +397,7 @@ OracleReport check_shared_cache_consensus(const ctmc::Ctmc& chain,
   }
 
   for (const auto method : methods) {
-    const std::string name = method_name(method);
+    const std::string name = ctmc::to_string(method);
     const ctmc::SteadyState fresh = ctmc::solve_steady_state(chain, method);
 
     ctmc::SharedSolveCache shared;
@@ -447,11 +417,10 @@ OracleReport check_shared_cache_consensus(const ctmc::Ctmc& chain,
                           0.0);
     };
 
-    // Cold miss: solved locally, published to the shared tier.
+    // Cold miss: solved by the first worker, published to the shared
+    // tier.
     expect_bits(name + " cold miss", first_worker.steady_state(chain, method));
-    // Local hit: served from the worker's own entry.
-    expect_bits(name + " local hit", first_worker.steady_state(chain, method));
-    // Shared hit: a different worker's cache pulls the published copy.
+    // Shared hit: a different worker pulls the published copy.
     expect_bits(name + " shared hit",
                 second_worker.steady_state(chain, method));
 
@@ -477,7 +446,7 @@ OracleReport check_retry_consensus(const ctmc::Ctmc& chain,
   }
 
   for (const auto method : methods) {
-    const std::string name = method_name(method);
+    const std::string name = ctmc::to_string(method);
     const ctmc::SteadyState direct = ctmc::solve_steady_state(chain, method);
 
     serve::SolveSpec spec;

@@ -80,9 +80,9 @@ struct OracleOptions {
     const OracleOptions& options = {});
 
 /// Bit-identity gate for the allocation-free solve hot path: solves
-/// through a reused (and deliberately dirty) SolveWorkspace, repeated
-/// SolveCache hits, and batched multi-RHS interval rewards must all
-/// reproduce the fresh-allocation path exactly — tolerance zero —
+/// through a reused (and deliberately dirty) SolveWorkspace and
+/// batched multi-RHS interval rewards must all reproduce the
+/// fresh-allocation path exactly — tolerance zero —
 /// across every steady-state method in `options` and both transient
 /// evaluators (distribution and interval reward) at horizon `t`.
 [[nodiscard]] OracleReport check_workspace_consensus(
@@ -99,9 +99,9 @@ struct OracleOptions {
     const ctmc::Ctmc& chain, const OracleOptions& options = {});
 
 /// Bit-identity gate for the shared concurrent solve cache: for each
-/// steady-state method, the distribution served by a worker-local
-/// SolveCache on a cold miss, on a local hit, and on a shared-tier
-/// hit from a different worker's cache must all reproduce the direct
+/// steady-state method, the distribution a worker's SolveCache serves
+/// on a cold miss, and the one a different worker's SolveCache pulls
+/// from the shared tier, must both reproduce the direct
 /// solve_steady_state() result exactly — tolerance zero.  Also checks
 /// that the shared tier actually recorded the publish and the
 /// cross-cache hit (a silently disabled cache would pass bit-identity

@@ -74,8 +74,8 @@ class HierarchicalModel {
   /// no root model has been set.
   ///
   /// An optional per-worker SolveCache supplies reusable solver
-  /// scratch and memoizes repeated generators; results are
-  /// bit-identical with and without one (oracle-gated).
+  /// scratch; results are bit-identical with and without one
+  /// (oracle-gated).
   [[nodiscard]] HierarchicalResult solve(
       const expr::ParameterSet& inputs,
       ctmc::SteadyStateMethod method = ctmc::SteadyStateMethod::kGth,

@@ -68,13 +68,15 @@ std::size_t SharedSolveCache::slot_index(std::uint64_t key) const noexcept {
   return static_cast<std::size_t>((key * kSpread) >> 32) % slots_per_shard_;
 }
 
-bool SharedSolveCache::lookup(std::uint64_t key, SteadyState& out) const {
+bool SharedSolveCache::lookup(std::uint64_t key, const Ctmc& chain,
+                              SteadyState& out) const {
   if (!enabled()) return false;
   const Shard& shard = shards_[shard_index(key)];
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     const Slot& slot = shard.slots[slot_index(key)];
-    if (slot.used && slot.key == key) {
+    if (slot.used && slot.key == key && slot.states == chain.num_states() &&
+        slot.transitions == chain.transitions().size()) {
       out = slot.value;
       hits_.fetch_add(1, std::memory_order_relaxed);
       if (obs::enabled()) obs::counter("ctmc.shared_cache.hits").add(1);
@@ -86,7 +88,8 @@ bool SharedSolveCache::lookup(std::uint64_t key, SteadyState& out) const {
   return false;
 }
 
-void SharedSolveCache::insert(std::uint64_t key, const SteadyState& value) {
+void SharedSolveCache::insert(std::uint64_t key, const Ctmc& chain,
+                              const SteadyState& value) {
   if (!enabled()) return;
   Shard& shard = shards_[shard_index(key)];
   bool evicted = false;
@@ -97,6 +100,8 @@ void SharedSolveCache::insert(std::uint64_t key, const SteadyState& value) {
     if (!slot.used) ++shard.used;
     slot.used = true;
     slot.key = key;
+    slot.states = chain.num_states();
+    slot.transitions = chain.transitions().size();
     slot.value = value;
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
@@ -137,41 +142,30 @@ const SteadyState& SolveCache::steady_state(const Ctmc& chain,
                                             SteadyStateMethod method,
                                             Validation validation,
                                             SolveControl control) {
+  control.workspace = &workspace_;
+  if (shared_ == nullptr) {
+    result_ = solve_steady_state(chain, method, validation, control);
+    return result_;
+  }
   const std::uint64_t key =
       steady_state_key(chain, method, validation, control);
-
-  if (valid_ && key == key_) {
+  if (shared_->lookup(key, chain, result_)) {
     ++hits_;
-    if (obs::enabled()) obs::counter("ctmc.solve_cache.hits").add(1);
-    return cached_;
+    return result_;
   }
-  ++misses_;
-  if (obs::enabled()) obs::counter("ctmc.solve_cache.misses").add(1);
-  valid_ = false;  // stay invalid if the copy or solve below throws
-  if (shared_ != nullptr && shared_->lookup(key, cached_)) {
-    key_ = key;
-    valid_ = true;
-    return cached_;
-  }
-  control.workspace = &workspace_;
-  cached_ = solve_steady_state(chain, method, validation, control);
-  key_ = key;
-  valid_ = true;
-  if (shared_ != nullptr) {
-    // The shared tier is an accelerator, never a dependency: a failed
-    // publish (chaos `cache-publish-fail`, simulating a full or
-    // poisoned shard) costs other workers a recompute but can never
-    // change any result bit.
-    if (resil::chaos::enabled() &&
-        resil::chaos::tick("cache-publish-fail")) {
-      if (obs::enabled()) {
-        obs::counter("ctmc.shared_cache.publish_failures").add(1);
-      }
-    } else {
-      shared_->insert(key, cached_);
+  result_ = solve_steady_state(chain, method, validation, control);
+  // The shared tier is an accelerator, never a dependency: a failed
+  // publish (chaos `cache-publish-fail`, simulating a full or poisoned
+  // shard) costs other workers a recompute but can never change any
+  // result bit.
+  if (resil::chaos::enabled() && resil::chaos::tick("cache-publish-fail")) {
+    if (obs::enabled()) {
+      obs::counter("ctmc.shared_cache.publish_failures").add(1);
     }
+  } else {
+    shared_->insert(key, chain, result_);
   }
-  return cached_;
+  return result_;
 }
 
 }  // namespace rascal::ctmc

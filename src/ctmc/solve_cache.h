@@ -1,28 +1,36 @@
-// Memoized steady-state solving for batch drivers.
+// Steady-state solve caching for batch drivers.
 //
-// Hierarchical models solve the same bound chain more than once per
-// sample (e.g. the availability metric and the downtime attribution
-// both need the root distribution), and batched drivers often sweep
-// parameters that leave some submodel generators untouched.  A
-// SolveCache keys the most recent solve by an exact digest of the
-// generator (state count plus every transition's endpoints and rate
-// bit pattern, via resil::DigestBuilder) and returns the stored
-// distribution on a match instead of re-running the factorisation.
-// Because the solvers are deterministic, a cache hit is bit-identical
-// to a fresh solve — gated by the src/check/ oracle.
+// There is one cache tier, SharedSolveCache: a process-wide, sharded,
+// fixed-memory concurrent table (transposition-table idiom: every key
+// maps to exactly one slot, colliding inserts evict).  Its key,
+// steady_state_key, is an exact digest of the generator (state count
+// plus every transition's endpoints and rate bit pattern, via
+// resil::DigestBuilder) and of the solve options.  Because the
+// solvers are deterministic, a hit is bit-identical to a fresh solve,
+// so results stay bit-identical across thread counts and cold/warm
+// caches (oracle-gated, check_shared_cache_consensus).
 //
-// Two tiers share one key scheme (steady_state_key):
+// A SolveCache is one worker's handle on the solve path.  It owns the
+// worker's SolveWorkspace and, once set_shared() attaches a shared
+// tier, looks every solve up there first and publishes every fresh
+// solve, so a parametric sweep dispatched across workers never
+// recomputes an identical CTMC.  Without a shared tier it solves
+// directly and computes no key.
 //
-//   * SolveCache — worker-local, single entry, also owns the worker's
-//     SolveWorkspace.  Not thread-safe; give each worker its own.
-//   * SharedSolveCache — process-wide, sharded, fixed-memory
-//     concurrent table (transposition-table idiom: every key maps to
-//     exactly one slot, colliding inserts evict).  Attach one to many
-//     SolveCaches via set_shared() and a parametric sweep dispatched
-//     across workers never recomputes an identical CTMC.  Hits return
-//     byte-exact copies of the stored distribution, so results stay
-//     bit-identical across thread counts and cold/warm caches (also
-//     oracle-gated, check_shared_cache_consensus).
+// Checking a hit.  A key match counts only when the slot's chain has
+// the looked-up chain's state and transition counts, so a collision
+// between chains of different shape (one batch cache serves several
+// models) can never hand back a distribution of the wrong length.
+// Two different same-shape solves share a key only when their 64-bit
+// FNV-1a digests collide.  A lookup compares its key with the one
+// resident key of its slot, which already agrees with it on the bits
+// that pick the slot.  If the digest behaves as a uniform hash, a
+// lookup in a cache of C slots thus matches a different solve with
+// probability at most C / 2^64, and a run of L lookups at most
+// L * C / 2^64: about 6e-8 for a billion lookups at the default 1024
+// slots.  FNV-1a is not collision-resistant, though: the bound holds
+// for models and parameter values nobody chose to collide, not for a
+// request stream crafted against the hash.
 #pragma once
 
 #include <atomic>
@@ -82,13 +90,17 @@ class SharedSolveCache {
   /// True when the cache has at least one slot.
   [[nodiscard]] bool enabled() const noexcept { return !shards_.empty(); }
 
-  /// On a key match copies the stored solution into `out` and returns
-  /// true; otherwise leaves `out` untouched.
-  [[nodiscard]] bool lookup(std::uint64_t key, SteadyState& out) const;
+  /// On a key match whose stored chain has `chain`'s state and
+  /// transition counts, copies the stored solution into `out` and
+  /// returns true; otherwise (a key match of another shape included)
+  /// counts a miss and leaves `out` untouched.
+  [[nodiscard]] bool lookup(std::uint64_t key, const Ctmc& chain,
+                            SteadyState& out) const;
 
-  /// Stores `value` in the key's slot, evicting whatever different
-  /// key lived there.  Re-inserting an existing key refreshes it.
-  void insert(std::uint64_t key, const SteadyState& value);
+  /// Stores `value`, the solution of `chain`, in the key's slot,
+  /// evicting whatever different key lived there.  Re-inserting an
+  /// existing key refreshes it.
+  void insert(std::uint64_t key, const Ctmc& chain, const SteadyState& value);
 
   [[nodiscard]] Stats stats() const;
 
@@ -99,6 +111,8 @@ class SharedSolveCache {
   struct Slot {
     bool used = false;
     std::uint64_t key = 0;
+    std::size_t states = 0;       // shape of the chain `value` solves
+    std::size_t transitions = 0;
     SteadyState value;
   };
 
@@ -122,33 +136,26 @@ class SharedSolveCache {
   std::atomic<std::uint64_t> evictions_{0};
 };
 
+/// One worker's solve path.  Not thread-safe; give each worker its
+/// own.
 class SolveCache {
  public:
-  /// The reusable scratch threaded into every cached solve.
-  [[nodiscard]] linalg::SolveWorkspace& workspace() noexcept {
-    return workspace_;
-  }
-
-  /// Attaches a cross-worker shared tier: consulted when the local
-  /// entry misses, published to after every fresh solve.  Not owned;
-  /// pass nullptr to detach.  The shared tier never changes results —
-  /// its entries were produced by the identical deterministic solve.
+  /// Attaches a cross-worker shared tier: consulted before every
+  /// solve, published to after every fresh one.  Not owned; pass
+  /// nullptr to detach.  The shared tier never changes results — its
+  /// entries were produced by the identical deterministic solve.
   void set_shared(SharedSolveCache* shared) noexcept { shared_ = shared; }
 
-  /// As solve_steady_state(), but returns the stored result when the
-  /// chain's generator, the method, and the control knobs that affect
-  /// the numerics (max_iterations, escalate, validation) match the
-  /// previous call.  The cancellation token and workspace pointer are
-  /// excluded from the key: they never change the solution.
+  /// As solve_steady_state(), through this worker's reusable
+  /// workspace.  With a shared tier attached, returns the stored
+  /// result when one matches steady_state_key(); without one, no key
+  /// is computed.  The reference stays valid until the next call.
   const SteadyState& steady_state(
       const Ctmc& chain, SteadyStateMethod method = SteadyStateMethod::kGth,
       Validation validation = Validation::kOn, SolveControl control = {});
 
+  /// Solves the shared tier answered for this worker.
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-
-  /// Drops the stored solve (the workspace keeps its capacity).
-  void invalidate() noexcept { valid_ = false; }
 
   /// Exact structural digest of a chain's generator: state count plus
   /// (from, to, rate-bits) of every merged transition.
@@ -157,11 +164,8 @@ class SolveCache {
  private:
   linalg::SolveWorkspace workspace_;
   SharedSolveCache* shared_ = nullptr;  // optional cross-worker tier
-  SteadyState cached_;
-  std::uint64_t key_ = 0;
-  bool valid_ = false;
+  SteadyState result_;                  // behind the returned reference
   std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace rascal::ctmc

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "linalg/gth.h"
 #include "linalg/iterative.h"
@@ -13,17 +14,35 @@ namespace rascal::ctmc {
 
 namespace {
 
-const char* method_slug(SteadyStateMethod method) {
-  switch (method) {
-    case SteadyStateMethod::kGth: return "gth";
-    case SteadyStateMethod::kLu: return "lu";
-    case SteadyStateMethod::kPower: return "power";
-    case SteadyStateMethod::kGaussSeidel: return "gauss_seidel";
-    case SteadyStateMethod::kGmres: return "gmres";
-    case SteadyStateMethod::kBiCgStab: return "bicgstab";
+constexpr std::pair<SteadyStateMethod, const char*> kMethodNames[] = {
+    {SteadyStateMethod::kGth, "gth"},
+    {SteadyStateMethod::kLu, "lu"},
+    {SteadyStateMethod::kPower, "power"},
+    {SteadyStateMethod::kGaussSeidel, "gauss-seidel"},
+    {SteadyStateMethod::kGmres, "gmres"},
+    {SteadyStateMethod::kBiCgStab, "bicgstab"},
+};
+
+}  // namespace
+
+const char* to_string(SteadyStateMethod method) noexcept {
+  for (const auto& [value, name] : kMethodNames) {
+    if (value == method) return name;
   }
   return "unknown";
 }
+
+bool parse_method(const std::string& name, SteadyStateMethod& out) noexcept {
+  for (const auto& [value, text] : kMethodNames) {
+    if (name == text) {
+      out = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
 
 // Per-method solve/iteration/residual telemetry (counters are keyed
 // by method slug; the residual gauges track the worst and the most
@@ -31,7 +50,7 @@ const char* method_slug(SteadyStateMethod method) {
 void record_solve_telemetry(SteadyStateMethod method,
                             const SteadyState& result) {
   if (!obs::enabled()) return;
-  const std::string slug = method_slug(method);
+  const std::string slug = to_string(method);
   obs::counter("ctmc.solver.solves").add(1);
   obs::counter("ctmc.solver.solves." + slug).add(1);
   if (result.iterations > 0) {
@@ -45,7 +64,7 @@ void record_solve_telemetry(SteadyStateMethod method,
 // throw, but the failure still shows up in the run's counters.
 void record_nonconvergence(SteadyStateMethod method, std::size_t iterations) {
   if (!obs::enabled()) return;
-  const std::string slug = method_slug(method);
+  const std::string slug = to_string(method);
   obs::counter("ctmc.solver.nonconverged").add(1);
   obs::counter("ctmc.solver.iterations." + slug).add(iterations);
 }
@@ -56,7 +75,7 @@ void record_nonconvergence(SteadyStateMethod method, std::size_t iterations) {
 void record_escalation(SteadyStateMethod from) {
   if (!obs::enabled()) return;
   obs::counter("ctmc.solver.escalated").add(1);
-  obs::counter(std::string("ctmc.solver.escalated.") + method_slug(from) +
+  obs::counter(std::string("ctmc.solver.escalated.") + to_string(from) +
                "_to_gth")
       .add(1);
 }
@@ -209,7 +228,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
       if (it.cancelled) {
         // Never escalate a cancelled solve: the caller asked to stop.
         throw resil::CancelledError(
-            std::string("solve_steady_state: ") + method_slug(method) +
+            std::string("solve_steady_state: ") + to_string(method) +
             " solve cancelled after " + std::to_string(it.iterations) +
             " iterations");
       }
@@ -219,7 +238,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
           escalate_to_gth(result);
         } else if (control.escalate) {
           throw NonConvergenceError(
-              std::string("solve_steady_state: ") + method_slug(method) +
+              std::string("solve_steady_state: ") + to_string(method) +
               " did not converge within " + std::to_string(it.iterations) +
               " iterations; " + std::to_string(chain.num_states()) +
               " states exceed the sparse threshold (" +
@@ -227,7 +246,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
               "), so dense GTH escalation is unavailable");
         } else {
           throw NonConvergenceError(
-              std::string("solve_steady_state: ") + method_slug(method) +
+              std::string("solve_steady_state: ") + to_string(method) +
               " did not converge within " + std::to_string(it.iterations) +
               " iterations (residual " + std::to_string(it.residual) + ")");
         }
@@ -266,7 +285,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
       if (!precond_rejected && kr.cancelled) {
         // Never escalate a cancelled solve: the caller asked to stop.
         throw resil::CancelledError(
-            std::string("solve_steady_state: ") + method_slug(effective) +
+            std::string("solve_steady_state: ") + to_string(effective) +
             " solve cancelled after " + std::to_string(kr.iterations) +
             " iterations");
       }
@@ -284,7 +303,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
           escalate_to_gth(result);
         } else if (control.escalate) {
           throw NonConvergenceError(
-              std::string("solve_steady_state: ") + method_slug(effective) +
+              std::string("solve_steady_state: ") + to_string(effective) +
               " " + failure_note + "; " +
               std::to_string(chain.num_states()) +
               " states exceed the sparse threshold (" +
@@ -292,7 +311,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
               "), so dense GTH escalation is unavailable");
         } else {
           throw NonConvergenceError(std::string("solve_steady_state: ") +
-                                    method_slug(effective) + " " +
+                                    to_string(effective) + " " +
                                     failure_note);
         }
       } else {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <stdexcept>
+#include <string>
 
 #include "ctmc/ctmc.h"
 #include "ctmc/validate.h"
@@ -21,6 +22,16 @@ enum class SteadyStateMethod {
   kGmres,        // sparse GMRES(m) on the normalized augmented system
   kBiCgStab,     // sparse BiCGStab on the same system
 };
+
+/// The method's name as the CLI, the request schema and the telemetry
+/// counters spell it: "gth", "lu", "power", "gauss-seidel", "gmres",
+/// "bicgstab".
+[[nodiscard]] const char* to_string(SteadyStateMethod method) noexcept;
+
+/// Inverse of to_string(); returns false and leaves `out` untouched
+/// for any other name.
+[[nodiscard]] bool parse_method(const std::string& name,
+                                SteadyStateMethod& out) noexcept;
 
 /// Chains with more states than this never materialize a dense n x n
 /// Matrix: dense method requests re-route to the sparse GMRES path,

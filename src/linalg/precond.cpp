@@ -1,6 +1,7 @@
 #include "linalg/precond.h"
 
 #include <cmath>
+#include <utility>
 
 namespace rascal::linalg {
 
@@ -15,15 +16,29 @@ void require_square(const CsrMatrix& a, const char* who) {
   }
 }
 
+constexpr std::pair<PrecondKind, const char*> kPrecondNames[] = {
+    {PrecondKind::kNone, "none"},
+    {PrecondKind::kJacobi, "jacobi"},
+    {PrecondKind::kIlu0, "ilu0"},
+};
+
 }  // namespace
 
 const char* precond_name(PrecondKind kind) noexcept {
-  switch (kind) {
-    case PrecondKind::kNone: return "none";
-    case PrecondKind::kJacobi: return "jacobi";
-    case PrecondKind::kIlu0: return "ilu0";
+  for (const auto& [value, name] : kPrecondNames) {
+    if (value == kind) return name;
   }
   return "unknown";
+}
+
+bool parse_precond(const std::string& name, PrecondKind& out) noexcept {
+  for (const auto& [value, text] : kPrecondNames) {
+    if (name == text) {
+      out = value;
+      return true;
+    }
+  }
+  return false;
 }
 
 void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {

@@ -35,7 +35,14 @@ enum class PrecondKind {
   kIlu0,    // incomplete LU on the pattern of A
 };
 
+/// The preconditioner's name as the CLI and the request schema spell
+/// it: "none", "jacobi", "ilu0".
 [[nodiscard]] const char* precond_name(PrecondKind kind) noexcept;
+
+/// Inverse of precond_name(); returns false and leaves `out`
+/// untouched for any other name.
+[[nodiscard]] bool parse_precond(const std::string& name,
+                                 PrecondKind& out) noexcept;
 
 /// Structural rejection during preconditioner construction.  Stable
 /// diagnostic codes, rendered as "[Pnnn] message":

@@ -172,23 +172,6 @@ void lint_numerics(const ctmc::Ctmc& chain, const LintOptions& options,
           "drop the transition or rescale the model's time unit"));
     }
   }
-  // Sparse generator row-sum re-check (R006): off-diagonal mass must
-  // cancel the diagonal exit rate exactly.
-  for (StateId s = 0; s < chain.num_states(); ++s) {
-    double row = -chain.exit_rate(s);
-    double magnitude = chain.exit_rate(s);
-    for (const ctmc::Transition& t : chain.transitions()) {
-      if (t.from != s) continue;
-      row += t.rate;
-      magnitude = std::max(magnitude, std::abs(t.rate));
-    }
-    if (std::abs(row) > options.row_sum_tolerance * std::max(1.0, magnitude)) {
-      report.add(make(codes::kRowSumViolation, Severity::kError,
-                      "generator row for state '" + chain.state_name(s) +
-                          "' sums to " + fmt(row) + " instead of 0",
-                      state_loc(chain.state_name(s))));
-    }
-  }
 }
 
 }  // namespace

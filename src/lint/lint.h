@@ -90,8 +90,9 @@ struct SourceMap {
                                         const LintOptions& options = {});
 
 /// Structural (Tarjan SCC: R010-R014) and numerical-risk (R030,
-/// R031) analysis of a constructed chain, plus a sparse row-sum
-/// re-check (R006).
+/// R031) analysis of a constructed chain.  No row-sum check (R006):
+/// Ctmc derives every exit rate from its own transitions, so its rows
+/// sum to zero by construction (docs/lint.md).
 [[nodiscard]] LintReport lint_ctmc(const ctmc::Ctmc& chain,
                                    const LintOptions& options = {});
 

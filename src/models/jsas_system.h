@@ -60,10 +60,10 @@ struct JsasResult {
                                     const expr::ParameterSet& params);
 
 /// Batch-friendly overload: solves through a caller-owned per-worker
-/// SolveCache (reusable factorisation scratch + generator memoization)
-/// and a process-wide cache of the symbolic model structure, so the
-/// expression re-parsing and solver allocations drop out of per-sample
-/// cost.  Bit-identical to the plain overload (oracle-gated).
+/// SolveCache (reusable factorisation scratch) and a process-wide
+/// cache of the symbolic model structure, so the expression
+/// re-parsing and solver allocations drop out of per-sample cost.
+/// Bit-identical to the plain overload (oracle-gated).
 [[nodiscard]] JsasResult solve_jsas(const JsasConfig& config,
                                     const expr::ParameterSet& params,
                                     ctmc::SolveCache& cache);

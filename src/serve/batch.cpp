@@ -1,6 +1,5 @@
 #include "serve/batch.h"
 
-#include <atomic>
 #include <istream>
 #include <map>
 #include <optional>
@@ -18,20 +17,6 @@
 namespace rascal::serve {
 
 namespace {
-
-double metric_value(OutputKind kind, const core::AvailabilityMetrics& m) {
-  switch (kind) {
-    case OutputKind::kAvailability: return m.availability;
-    case OutputKind::kUnavailability: return m.unavailability;
-    case OutputKind::kDowntime: return m.downtime_minutes_per_year;
-    case OutputKind::kMtbf: return m.mtbf_hours;
-    case OutputKind::kMttf: return m.mttf_hours;
-    case OutputKind::kMttr: return m.mttr_hours;
-    case OutputKind::kRewardRate: return m.expected_reward_rate;
-    case OutputKind::kFailureFrequency: return m.failure_frequency;
-  }
-  return 0.0;
-}
 
 struct SolveOutcome {
   std::vector<double> values;
@@ -75,12 +60,8 @@ enum : unsigned char {
 }  // namespace
 
 double BatchResult::hit_rate() const noexcept {
-  const double hits =
-      static_cast<double>(cache.hits) + static_cast<double>(worker_hits);
+  const double hits = static_cast<double>(cache.hits);
   const double total = hits + static_cast<double>(cache.misses);
-  // Shared misses count exactly the lookups neither tier answered: a
-  // local hit never consults the shared tier, a local miss always
-  // does.  worker_misses would double-count them.
   return total > 0.0 ? hits / total : 0.0;
 }
 
@@ -101,10 +82,12 @@ std::uint64_t batch_checkpoint_digest(const std::vector<std::string>& lines,
   for (const std::string& line : lines) digest.add_str(line);
   // Supervision knobs that change which records a run emits: a resume
   // under different retry/shedding rules would splice incompatible
-  // streams together.
+  // streams together.  The constant 1 stands where a fallback-ladder
+  // switch used to be, so checkpoints written before it was removed
+  // still resume.
   digest.add_str("supervision")
       .add_u64(supervision.retry.max_attempts)
-      .add_u64(supervision.fallback_ladder ? 1 : 0)
+      .add_u64(1)
       .add_u64(supervision.admission_states)
       .add_u64(supervision.admission_nnz)
       .add_u64(supervision.queue_cap);
@@ -235,8 +218,6 @@ BatchResult run_batch(const std::vector<std::string>& lines,
   ctmc::SharedSolveCache::Config cache_config;
   cache_config.capacity = options.cache_capacity;
   ctmc::SharedSolveCache shared(cache_config);
-  std::atomic<std::uint64_t> worker_hits{0};
-  std::atomic<std::uint64_t> worker_misses{0};
 
   ResultsSink sink(out);
   // A gap at close means a worker died between claiming an index and
@@ -320,8 +301,6 @@ BatchResult run_batch(const std::vector<std::string>& lines,
           }
           progress.tick();
         }
-        worker_hits.fetch_add(local.hits(), std::memory_order_relaxed);
-        worker_misses.fetch_add(local.misses(), std::memory_order_relaxed);
       });
   progress.finish();
   if (checkpoint != nullptr) checkpoint->flush();
@@ -346,8 +325,6 @@ BatchResult run_batch(const std::vector<std::string>& lines,
     result.lost = pending;
   }
   result.cache = shared.stats();
-  result.worker_hits = worker_hits.load(std::memory_order_relaxed);
-  result.worker_misses = worker_misses.load(std::memory_order_relaxed);
   if (obs::enabled()) {
     obs::counter("serve.batch.requests").add(n);
     if (result.lost > 0) obs::counter("serve.batch.requests_lost").add(result.lost);

@@ -31,13 +31,13 @@ namespace rascal::serve {
 struct BatchOptions {
   /// Worker threads (0 = RASCAL_THREADS / hardware default).
   std::size_t threads = 0;
-  /// Shared solve-cache slots (0 disables the shared tier; workers
-  /// keep their single-entry local caches either way).
+  /// Shared solve-cache slots (0 disables the cache: every request
+  /// solves).
   std::size_t cache_capacity = 1024;
   /// Cancellation / checkpoint / failure policy.  skip_failures is
   /// implied: a failing request always becomes an error record.
   resil::ExecutionControl control;
-  /// Retry / fallback-ladder / admission configuration.
+  /// Retry / admission configuration.
   SupervisionOptions supervision;
 };
 
@@ -53,12 +53,13 @@ struct BatchResult {
   std::size_t sink_write_failures = 0;  // records the stream refused
   bool interrupted = false;   // drained before finishing
   std::string interrupt_reason;
-  /// Shared-tier statistics plus the per-worker local caches.
+  /// Solve-cache statistics.
   ctmc::SharedSolveCache::Stats cache;
+  /// Always 0: workers keep no cache of their own.  Kept only because
+  /// the benchmark harness (e2ebench/workloads.cpp) still reads it.
   std::uint64_t worker_hits = 0;
-  std::uint64_t worker_misses = 0;
 
-  /// Fraction of solve lookups answered by either cache tier.
+  /// Fraction of solve lookups the cache answered.
   [[nodiscard]] double hit_rate() const noexcept;
 
   /// True when the stream lost records: a gap, a lost request, or a
@@ -74,7 +75,7 @@ struct BatchResult {
 [[nodiscard]] std::vector<std::string> read_request_lines(std::istream& in);
 
 /// Fingerprint of the request stream *and* the supervision knobs that
-/// change the output (retry bound, ladder, admission caps) for
+/// change the output (retry bound, admission caps) for
 /// checkpoint compatibility: resuming against a different stream or
 /// different shedding rules is rejected.
 [[nodiscard]] std::uint64_t batch_checkpoint_digest(

@@ -4,10 +4,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace rascal::serve {
 
 namespace {
+
+constexpr std::pair<OutputKind, const char*> kOutputNames[] = {
+    {OutputKind::kAvailability, "availability"},
+    {OutputKind::kUnavailability, "unavailability"},
+    {OutputKind::kDowntime, "downtime"},
+    {OutputKind::kMtbf, "mtbf"},
+    {OutputKind::kMttf, "mttf"},
+    {OutputKind::kMttr, "mttr"},
+    {OutputKind::kRewardRate, "reward_rate"},
+    {OutputKind::kFailureFrequency, "failure_frequency"},
+};
 
 std::string format_double(double v) {
   char buffer[64];
@@ -180,12 +192,12 @@ class RequestReader {
       parse_overrides(request);
     } else if (key == "method") {
       const std::string name = parse_string();
-      if (!parse_method(name, request.method)) {
+      if (!ctmc::parse_method(name, request.method)) {
         fail("unknown method '" + name + "'");
       }
     } else if (key == "precond") {
       const std::string name = parse_string();
-      if (!parse_precond(name, request.precond)) {
+      if (!linalg::parse_precond(name, request.precond)) {
         fail("unknown preconditioner '" + name + "'");
       }
     } else if (key == "sparse_threshold") {
@@ -209,50 +221,35 @@ class RequestReader {
 
 }  // namespace
 
-const char* to_string(OutputKind kind) {
-  switch (kind) {
-    case OutputKind::kAvailability: return "availability";
-    case OutputKind::kUnavailability: return "unavailability";
-    case OutputKind::kDowntime: return "downtime";
-    case OutputKind::kMtbf: return "mtbf";
-    case OutputKind::kMttf: return "mttf";
-    case OutputKind::kMttr: return "mttr";
-    case OutputKind::kRewardRate: return "reward_rate";
-    case OutputKind::kFailureFrequency: return "failure_frequency";
+const char* to_string(OutputKind kind) noexcept {
+  for (const auto& [value, name] : kOutputNames) {
+    if (value == kind) return name;
   }
   return "unknown";
 }
 
-bool parse_output(const std::string& name, OutputKind& out) {
-  if (name == "availability") out = OutputKind::kAvailability;
-  else if (name == "unavailability") out = OutputKind::kUnavailability;
-  else if (name == "downtime") out = OutputKind::kDowntime;
-  else if (name == "mtbf") out = OutputKind::kMtbf;
-  else if (name == "mttf") out = OutputKind::kMttf;
-  else if (name == "mttr") out = OutputKind::kMttr;
-  else if (name == "reward_rate") out = OutputKind::kRewardRate;
-  else if (name == "failure_frequency") out = OutputKind::kFailureFrequency;
-  else return false;
-  return true;
+bool parse_output(const std::string& name, OutputKind& out) noexcept {
+  for (const auto& [value, text] : kOutputNames) {
+    if (name == text) {
+      out = value;
+      return true;
+    }
+  }
+  return false;
 }
 
-bool parse_method(const std::string& name, ctmc::SteadyStateMethod& out) {
-  if (name == "gth") out = ctmc::SteadyStateMethod::kGth;
-  else if (name == "lu") out = ctmc::SteadyStateMethod::kLu;
-  else if (name == "power") out = ctmc::SteadyStateMethod::kPower;
-  else if (name == "gauss-seidel") out = ctmc::SteadyStateMethod::kGaussSeidel;
-  else if (name == "gmres") out = ctmc::SteadyStateMethod::kGmres;
-  else if (name == "bicgstab") out = ctmc::SteadyStateMethod::kBiCgStab;
-  else return false;
-  return true;
-}
-
-bool parse_precond(const std::string& name, linalg::PrecondKind& out) {
-  if (name == "none") out = linalg::PrecondKind::kNone;
-  else if (name == "jacobi") out = linalg::PrecondKind::kJacobi;
-  else if (name == "ilu0") out = linalg::PrecondKind::kIlu0;
-  else return false;
-  return true;
+double metric_value(OutputKind kind, const core::AvailabilityMetrics& m) {
+  switch (kind) {
+    case OutputKind::kAvailability: return m.availability;
+    case OutputKind::kUnavailability: return m.unavailability;
+    case OutputKind::kDowntime: return m.downtime_minutes_per_year;
+    case OutputKind::kMtbf: return m.mtbf_hours;
+    case OutputKind::kMttf: return m.mttf_hours;
+    case OutputKind::kMttr: return m.mttr_hours;
+    case OutputKind::kRewardRate: return m.expected_reward_rate;
+    case OutputKind::kFailureFrequency: return m.failure_frequency;
+  }
+  return 0.0;
 }
 
 Request parse_request(const std::string& line) {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.h"
 #include "ctmc/steady_state.h"
 #include "expr/parameter_set.h"
 #include "resil/retry.h"
@@ -52,12 +53,19 @@ enum class OutputKind {
   kFailureFrequency,  // system failures per hour
 };
 
-[[nodiscard]] const char* to_string(OutputKind kind);
-[[nodiscard]] bool parse_output(const std::string& name, OutputKind& out);
-[[nodiscard]] bool parse_method(const std::string& name,
-                                ctmc::SteadyStateMethod& out);
-[[nodiscard]] bool parse_precond(const std::string& name,
-                                 linalg::PrecondKind& out);
+/// The output's name in requests, records and the CLI's --metric:
+/// "availability", "unavailability", "downtime", "mtbf", "mttf",
+/// "mttr", "reward_rate", "failure_frequency".
+[[nodiscard]] const char* to_string(OutputKind kind) noexcept;
+
+/// Inverse of to_string(); returns false and leaves `out` untouched
+/// for any other name.
+[[nodiscard]] bool parse_output(const std::string& name,
+                                OutputKind& out) noexcept;
+
+/// The figure of `metrics` that `kind` names.
+[[nodiscard]] double metric_value(OutputKind kind,
+                                  const core::AvailabilityMetrics& metrics);
 
 /// One parsed solve request.
 struct Request {

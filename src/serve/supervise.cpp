@@ -9,18 +9,6 @@ namespace rascal::serve {
 
 namespace {
 
-const char* method_slug(ctmc::SteadyStateMethod method) noexcept {
-  switch (method) {
-    case ctmc::SteadyStateMethod::kGth: return "gth";
-    case ctmc::SteadyStateMethod::kLu: return "lu";
-    case ctmc::SteadyStateMethod::kPower: return "power";
-    case ctmc::SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
-    case ctmc::SteadyStateMethod::kGmres: return "gmres";
-    case ctmc::SteadyStateMethod::kBiCgStab: return "bicgstab";
-  }
-  return "unknown";
-}
-
 // Preconditioner downgrade chain: each step is strictly cheaper and
 // structurally harder to reject than the one before it.
 linalg::PrecondKind downgrade(linalg::PrecondKind precond) noexcept {
@@ -35,7 +23,7 @@ linalg::PrecondKind downgrade(linalg::PrecondKind precond) noexcept {
 std::string describe_fallback(const LadderRung& requested,
                               const LadderRung& final_rung) {
   if (final_rung.method != requested.method) {
-    return method_slug(final_rung.method);
+    return ctmc::to_string(final_rung.method);
   }
   return std::string("precond:") + linalg::precond_name(final_rung.precond);
 }
@@ -87,13 +75,8 @@ SupervisedSolve supervised_solve(const ctmc::Ctmc& chain,
                                  ctmc::SolveCache& cache,
                                  const SupervisionOptions& options,
                                  const resil::CancellationToken* cancel) {
-  std::vector<LadderRung> rungs;
-  if (options.fallback_ladder) {
-    rungs = fallback_ladder(spec.method, spec.precond, chain.num_states(),
-                            spec.sparse_threshold);
-  } else {
-    rungs.push_back({spec.method, spec.precond});
-  }
+  const std::vector<LadderRung> rungs = fallback_ladder(
+      spec.method, spec.precond, chain.num_states(), spec.sparse_threshold);
 
   resil::RetryPolicy policy = options.retry;
   if (policy.max_attempts == 0) policy.max_attempts = 1;

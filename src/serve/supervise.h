@@ -51,10 +51,6 @@ struct SupervisionOptions {
   /// retries entirely.
   resil::RetryPolicy retry{/*max_attempts=*/3, /*base_iterations=*/0};
 
-  /// Enables the method/preconditioner fallback ladder.  Off, every
-  /// attempt re-runs the requested configuration.
-  bool fallback_ladder = true;
-
   /// Admission caps (0 = unlimited).  Checked against the *declared*
   /// model size before binding, so an oversized request is refused
   /// for the cost of a map lookup, not an allocation.

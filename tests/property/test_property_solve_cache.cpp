@@ -150,9 +150,9 @@ TEST(SharedSolveCache, RoundTripsByteExactCopies) {
       steady_state_key(chain, Method::kGth, ctmc::Validation::kOn, {});
 
   ctmc::SteadyState out;
-  EXPECT_FALSE(cache.lookup(key, out));
-  cache.insert(key, solved);
-  ASSERT_TRUE(cache.lookup(key, out));
+  EXPECT_FALSE(cache.lookup(key, chain, out));
+  cache.insert(key, chain, solved);
+  ASSERT_TRUE(cache.lookup(key, chain, out));
   ASSERT_EQ(out.probabilities.size(), solved.probabilities.size());
   for (std::size_t s = 0; s < solved.probabilities.size(); ++s) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out.probabilities[s]),
@@ -168,6 +168,28 @@ TEST(SharedSolveCache, RoundTripsByteExactCopies) {
   EXPECT_EQ(stats.occupancy, 1u);
 }
 
+TEST(SharedSolveCache, KeyMatchOfAnotherShapeIsAMiss) {
+  // One batch cache serves several models: a forced key collision with
+  // a chain of fewer states, or of more transitions, must miss.
+  const auto ring = [](bool chord) {
+    ctmc::CtmcBuilder builder;
+    const auto a = builder.state("A", 1.0);
+    const auto b = builder.state("B", 1.0);
+    const auto c = builder.state("C", 0.0);
+    builder.rate(a, b, 1.0).rate(b, c, 1.0).rate(c, a, 1.0);
+    if (chord) builder.rate(a, c, 0.5);
+    return builder.build();
+  };
+  ctmc::SharedSolveCache cache;
+  cache.insert(7, ring(false), ctmc::solve_steady_state(ring(false)));
+  ctmc::SteadyState out;
+  EXPECT_FALSE(cache.lookup(7, repair_pair(), out));
+  EXPECT_FALSE(cache.lookup(7, ring(true), out));
+  ASSERT_TRUE(cache.lookup(7, ring(false), out));
+  EXPECT_EQ(out.probabilities.size(), 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
 TEST(SharedSolveCache, CapacityZeroDisablesCleanly) {
   ctmc::SharedSolveCache::Config config;
   config.capacity = 0;
@@ -176,9 +198,9 @@ TEST(SharedSolveCache, CapacityZeroDisablesCleanly) {
 
   const ctmc::Ctmc chain = repair_pair();
   const ctmc::SteadyState solved = ctmc::solve_steady_state(chain);
-  cache.insert(1, solved);  // dropped, not stored
+  cache.insert(1, chain, solved);  // dropped, not stored
   ctmc::SteadyState out;
-  EXPECT_FALSE(cache.lookup(1, out));
+  EXPECT_FALSE(cache.lookup(1, chain, out));
   EXPECT_EQ(cache.stats().capacity, 0u);
   EXPECT_EQ(cache.stats().occupancy, 0u);
 }
@@ -191,10 +213,10 @@ TEST(SharedSolveCache, OccupancyStaysBoundedUnderEviction) {
   config.shards = 4;
   ctmc::SharedSolveCache cache(config);
 
-  const ctmc::SteadyState solved =
-      ctmc::solve_steady_state(repair_pair());
+  const ctmc::Ctmc chain = repair_pair();
+  const ctmc::SteadyState solved = ctmc::solve_steady_state(chain);
   for (std::uint64_t key = 1; key <= 256; ++key) {
-    cache.insert(key, solved);
+    cache.insert(key, chain, solved);
   }
   const auto stats = cache.stats();
   EXPECT_LE(stats.occupancy, stats.capacity);

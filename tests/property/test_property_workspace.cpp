@@ -1,6 +1,6 @@
 // Bit-identity property tests for the allocation-free solve hot
-// path: solves through a reused SolveWorkspace, repeated SolveCache
-// hits, and batched multi-RHS interval rewards must reproduce the
+// path: solves through a reused SolveWorkspace and batched
+// multi-RHS interval rewards must reproduce the
 // fresh-allocation path bit for bit (oracle tolerance zero) on seeded
 // random models, across all four steady-state methods and both
 // transient evaluators.  Fixed seeds keep the suite deterministic.
@@ -64,9 +64,9 @@ TEST(WorkspaceConsensus, BitIdenticalOnStiffModelsDirectOnly) {
 }
 
 TEST(WorkspaceConsensus, CacheDistinguishesDifferentChains) {
-  // The generator digest must key the memo: alternating between two
-  // structurally different chains can never hit the single-entry
-  // cache, while repeating one chain always hits.
+  // The generator digest keys the shared tier: alternating between two
+  // structurally different chains never hits, while a chain solved
+  // before always does.  Without a shared tier nothing is cached.
   stats::RandomEngine rng_a(1);
   stats::RandomEngine rng_b(2);
   const GeneratedModel a = random_ergodic_ctmc(rng_a);
@@ -76,14 +76,14 @@ TEST(WorkspaceConsensus, CacheDistinguishesDifferentChains) {
 
   ctmc::SolveCache cache;
   (void)cache.steady_state(a.chain);
-  (void)cache.steady_state(b.chain);
   (void)cache.steady_state(a.chain);
   EXPECT_EQ(cache.hits(), 0u);
-  (void)cache.steady_state(a.chain);
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.invalidate();
-  (void)cache.steady_state(a.chain);
-  EXPECT_EQ(cache.hits(), 1u);
+  ctmc::SharedSolveCache shared;
+  cache.set_shared(&shared);
+  for (const ctmc::Ctmc* chain : {&a.chain, &b.chain, &a.chain, &b.chain}) {
+    (void)cache.steady_state(*chain);
+  }
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 }  // namespace

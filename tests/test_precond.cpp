@@ -41,6 +41,13 @@ TEST(PrecondName, CoversEveryKind) {
   EXPECT_STREQ(precond_name(PrecondKind::kNone), "none");
   EXPECT_STREQ(precond_name(PrecondKind::kJacobi), "jacobi");
   EXPECT_STREQ(precond_name(PrecondKind::kIlu0), "ilu0");
+  PrecondKind parsed = PrecondKind::kIlu0;
+  for (const PrecondKind kind :
+       {PrecondKind::kNone, PrecondKind::kJacobi, PrecondKind::kIlu0}) {
+    ASSERT_TRUE(parse_precond(precond_name(kind), parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  EXPECT_FALSE(parse_precond("ILU0", parsed));
 }
 
 TEST(IdentityPrecond, ApplyCopies) {

@@ -52,6 +52,15 @@ TEST_P(AllMethods, RandomChainSatisfiesBalance) {
   EXPECT_LT(s.residual, 1e-9);
 }
 
+TEST_P(AllMethods, NameRoundTrips) {
+  SteadyStateMethod parsed = GetParam() == SteadyStateMethod::kGth
+                                 ? SteadyStateMethod::kLu
+                                 : SteadyStateMethod::kGth;
+  ASSERT_TRUE(parse_method(to_string(GetParam()), parsed))
+      << to_string(GetParam());
+  EXPECT_EQ(parsed, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Methods, AllMethods,
                          ::testing::Values(SteadyStateMethod::kGth,
                                            SteadyStateMethod::kLu,

@@ -4,7 +4,7 @@
 //   rascal_cli lint  MODEL.rasc [--set NAME=VALUE ...] [--json] [--werror]
 //   rascal_cli states MODEL.rasc [--set NAME=VALUE ...]
 //   rascal_cli sweep MODEL.rasc --param NAME --from A --to B
-//              [--points N] [--metric availability|downtime|mtbf]
+//              [--points N] [--metric OUTPUT]
 //              [--set NAME=VALUE ...]
 //   rascal_cli mttf  MODEL.rasc [--start STATE] [--set NAME=VALUE ...]
 //   rascal_cli lump  MODEL.rasc [--set NAME=VALUE ...]
@@ -13,7 +13,7 @@
 //   rascal_cli golden GOLDEN_DIR [--update-golden]       (paper regression)
 //   rascal_cli uncertainty MODEL.rasc --range NAME=LO:HI ...
 //              [--samples N] [--seed S] [--lhs] [--threads N]
-//              [--metric availability|downtime|mtbf] [--set NAME=VALUE ...]
+//              [--metric OUTPUT] [--set NAME=VALUE ...]
 //   rascal_cli campaign [--trials N] [--seed S] [--threads N] [--fir P]
 //   rascal_cli batch REQUESTS.jsonl [--out FILE] [--threads N]
 //              [--cache-entries N]     (JSONL solve requests -> records)
@@ -38,7 +38,9 @@
 // exceeded; 128+N interrupted by signal N after checkpointing (130
 // SIGINT, 143 SIGTERM).
 //
-// Methods: gth (default), lu, power, gauss-seidel.
+// Methods: gth (default), lu, power, gauss-seidel, gmres, bicgstab.
+// Outputs (--metric): availability (default), unavailability,
+// downtime, mtbf, mttf, mttr, reward_rate, failure_frequency.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -67,6 +69,7 @@
 #include "report/table.h"
 #include "resil/resil.h"
 #include "serve/batch.h"
+#include "serve/request.h"
 
 namespace {
 
@@ -108,7 +111,7 @@ int usage() {
          " warnings with --werror)\n"
          "  rascal_cli states MODEL.rasc [--set NAME=VALUE ...]\n"
          "  rascal_cli sweep  MODEL.rasc --param NAME --from A --to B\n"
-         "             [--points N] [--metric availability|downtime|mtbf]"
+         "             [--points N] [--metric OUTPUT]"
          " [--set NAME=VALUE ...] [--threads N]\n"
          "             (--threads 0 = auto: RASCAL_THREADS env, else all"
          " cores)\n"
@@ -122,8 +125,10 @@ int usage() {
          " regenerates them)\n"
          "  rascal_cli uncertainty MODEL.rasc --range NAME=LO:HI ...\n"
          "             [--samples N] [--seed S] [--lhs] [--threads N]\n"
-         "             [--metric availability|downtime|mtbf]"
-         " [--set NAME=VALUE ...]\n"
+         "             [--metric OUTPUT] [--set NAME=VALUE ...]\n"
+         "             (OUTPUT: availability, unavailability, downtime,"
+         " mtbf, mttf, mttr,\n"
+         "              reward_rate, failure_frequency)\n"
          "  rascal_cli campaign [--trials N] [--seed S] [--threads N]"
          " [--fir P]\n"
          "             (fault-injection campaign on the simulated"
@@ -176,7 +181,7 @@ struct Arguments {
   double from = 0.0;
   double to = 0.0;
   std::size_t points = 11;
-  std::string metric = "availability";
+  serve::OutputKind metric = serve::OutputKind::kAvailability;
   std::string start_state;  // mttf: defaults to the first state
   std::size_t threads = 0;  // 0 = auto (RASCAL_THREADS, else all cores)
   bool update_golden = false;
@@ -270,37 +275,6 @@ bool parse_uint64(const char* text, std::uint64_t& out) {
   return false;
 }
 
-const char* method_name(ctmc::SteadyStateMethod method) {
-  switch (method) {
-    case ctmc::SteadyStateMethod::kGth: return "gth";
-    case ctmc::SteadyStateMethod::kLu: return "lu";
-    case ctmc::SteadyStateMethod::kPower: return "power";
-    case ctmc::SteadyStateMethod::kGaussSeidel: return "gauss-seidel";
-    case ctmc::SteadyStateMethod::kGmres: return "gmres";
-    case ctmc::SteadyStateMethod::kBiCgStab: return "bicgstab";
-  }
-  return "unknown";
-}
-
-bool parse_method(const std::string& name, ctmc::SteadyStateMethod& out) {
-  if (name == "gth") out = ctmc::SteadyStateMethod::kGth;
-  else if (name == "lu") out = ctmc::SteadyStateMethod::kLu;
-  else if (name == "power") out = ctmc::SteadyStateMethod::kPower;
-  else if (name == "gauss-seidel") out = ctmc::SteadyStateMethod::kGaussSeidel;
-  else if (name == "gmres") out = ctmc::SteadyStateMethod::kGmres;
-  else if (name == "bicgstab") out = ctmc::SteadyStateMethod::kBiCgStab;
-  else return false;
-  return true;
-}
-
-bool parse_precond(const std::string& name, linalg::PrecondKind& out) {
-  if (name == "none") out = linalg::PrecondKind::kNone;
-  else if (name == "jacobi") out = linalg::PrecondKind::kJacobi;
-  else if (name == "ilu0") out = linalg::PrecondKind::kIlu0;
-  else return false;
-  return true;
-}
-
 bool parse_arguments(int argc, char** argv, Arguments& args) {
   if (argc < 2) return false;
   args.command = argv[1];
@@ -324,10 +298,10 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       if (!value || !parse_set(value, args.overrides)) return false;
     } else if (flag == "--method") {
       const char* value = next();
-      if (!value || !parse_method(value, args.method)) return false;
+      if (!value || !ctmc::parse_method(value, args.method)) return false;
     } else if (flag == "--precond") {
       const char* value = next();
-      if (!value || !parse_precond(value, args.precond)) return false;
+      if (!value || !linalg::parse_precond(value, args.precond)) return false;
     } else if (flag == "--sparse-threshold") {
       const char* value = next();
       if (!value || !parse_size(value, args.sparse_threshold)) return false;
@@ -417,8 +391,7 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       args.werror = true;
     } else if (flag == "--metric") {
       const char* value = next();
-      if (!value) return false;
-      args.metric = value;
+      if (!value || !serve::parse_output(value, args.metric)) return false;
     } else if (flag == "--start") {
       const char* value = next();
       if (!value) return false;
@@ -476,7 +449,7 @@ ctmc::SolveControl batch_solve_control(const Arguments& args) {
 int report_solve_quality(const ctmc::SteadyState& steady,
                          const Arguments& args) {
   if (steady.escalated) {
-    std::cerr << "warning: method '" << method_name(args.method)
+    std::cerr << "warning: method '" << ctmc::to_string(args.method)
               << "' did not produce a usable solution; escalated to GTH\n";
   }
   if (steady.residual > kResidualWarnLimit) {
@@ -554,12 +527,11 @@ int run_sweep(const Arguments& args) {
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
         const ctmc::Ctmc chain = file.model.bind(params);
-        const auto m = core::availability_metrics(
-            chain, cache.steady_state(chain, args.method,
-                                      ctmc::Validation::kOn, control));
-        if (args.metric == "downtime") return m.downtime_minutes_per_year;
-        if (args.metric == "mtbf") return m.mtbf_hours;
-        return m.availability;
+        return serve::metric_value(
+            args.metric,
+            core::availability_metrics(
+                chain, cache.steady_state(chain, args.method,
+                                          ctmc::Validation::kOn, control)));
       };
   const auto values = analysis::linspace(args.from, args.to, args.points);
   const auto sweep = analysis::parametric_sweep(
@@ -567,7 +539,8 @@ int run_sweep(const Arguments& args) {
       values, args.threads);
 
   std::vector<double> ys;
-  report::TextTable table({args.sweep_param, args.metric});
+  const std::string metric = serve::to_string(args.metric);
+  report::TextTable table({args.sweep_param, metric});
   for (const auto& point : sweep) {
     ys.push_back(point.metric);
     table.add_row({report::format_general(point.parameter_value, 6),
@@ -575,7 +548,7 @@ int run_sweep(const Arguments& args) {
   }
   std::cout << table.to_string() << "\n";
   report::PlotOptions plot;
-  plot.title = args.metric + " vs " + args.sweep_param;
+  plot.title = metric + " vs " + args.sweep_param;
   plot.x_label = args.sweep_param;
   std::cout << report::line_plot(values, ys, plot);
   return 0;
@@ -732,12 +705,12 @@ int run_uncertainty(const Arguments& args) {
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
         const ctmc::Ctmc chain = file.model.bind(params);
-        const auto m = core::availability_metrics(
-            chain, cache.steady_state(chain, args.method,
-                                      ctmc::Validation::kOn, solve_control));
-        if (args.metric == "downtime") return m.downtime_minutes_per_year;
-        if (args.metric == "mtbf") return m.mtbf_hours;
-        return m.availability;
+        return serve::metric_value(
+            args.metric,
+            core::availability_metrics(
+                chain, cache.steady_state(chain, args.method,
+                                          ctmc::Validation::kOn,
+                                          solve_control)));
       };
   analysis::UncertaintyOptions options;
   options.samples = args.samples;
@@ -764,7 +737,8 @@ int run_uncertainty(const Arguments& args) {
                          result.requested);
   }
   if (!file.name.empty()) std::printf("model: %s\n", file.name.c_str());
-  std::printf("metric: %s over %zu %s samples\n\n", args.metric.c_str(),
+  std::printf("metric: %s over %zu %s samples\n\n",
+              serve::to_string(args.metric),
               args.samples, args.latin_hypercube ? "Latin-hypercube"
                                                  : "Monte Carlo");
   report::TextTable ranges_table({"Parameter", "Low", "High"});
@@ -781,7 +755,7 @@ int run_uncertainty(const Arguments& args) {
               result.interval80.upper);
   std::printf("90%% interval: [%.9g, %.9g]\n", result.interval90.lower,
               result.interval90.upper);
-  if (args.metric == "downtime") {
+  if (args.metric == serve::OutputKind::kDowntime) {
     // Five-9s = 5.25 downtime minutes per year (paper Section 7).
     std::printf("P(five-9s)  : %.4f\n", result.fraction_below(5.26));
   }
@@ -951,8 +925,7 @@ int run_serve_cmd(const Arguments& args) {
               << " record(s) could not be written to the output stream\n";
   }
   const ctmc::SharedSolveCache::Stats& cache = result.cache;
-  std::cerr << "solve cache: " << cache.hits << " shared hits, "
-            << result.worker_hits << " worker hits, " << cache.misses
+  std::cerr << "solve cache: " << cache.hits << " hits, " << cache.misses
             << " misses, " << cache.evictions << " evictions, "
             << cache.occupancy << "/" << cache.capacity << " slots, "
             << "hit rate " << static_cast<int>(result.hit_rate() * 100.0)
