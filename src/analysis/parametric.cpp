@@ -19,19 +19,6 @@ std::vector<double> linspace(double lo, double hi, std::size_t count) {
   return out;
 }
 
-std::vector<SweepPoint> parametric_sweep(const ModelFunction& model,
-                                         const expr::ParameterSet& base,
-                                         const std::string& parameter,
-                                         const std::vector<double>& values,
-                                         std::size_t threads) {
-  return core::parallel_map(
-      values.size(), core::resolve_threads(threads), [&](std::size_t i) {
-        expr::ParameterSet params = base;
-        params.set(parameter, values[i]);
-        return SweepPoint{values[i], model(params)};
-      });
-}
-
 std::vector<SweepPoint> parametric_sweep(const ContextModelFunction& model,
                                          const expr::ParameterSet& base,
                                          const std::string& parameter,

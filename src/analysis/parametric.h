@@ -39,15 +39,9 @@ struct SweepPoint {
 /// automatic: RASCAL_THREADS env, else hardware_concurrency); results
 /// are index-ordered so every thread count returns identical points.
 /// threads != 1 requires `model` to be safe to call concurrently.
-[[nodiscard]] std::vector<SweepPoint> parametric_sweep(
-    const ModelFunction& model, const expr::ParameterSet& base,
-    const std::string& parameter, const std::vector<double>& values,
-    std::size_t threads = 1);
-
-/// Context-aware overload: each worker evaluates its points through
-/// its own SolveCache and a parameter set copied once per chunk, so a
-/// sweep performs O(workers) instead of O(points) solver allocations.
-/// Point values are bit-identical to the plain overload.
+/// Each worker evaluates its points through its own SolveCache and a
+/// parameter set copied once per chunk, so a sweep performs
+/// O(workers) instead of O(points) solver allocations.
 [[nodiscard]] std::vector<SweepPoint> parametric_sweep(
     const ContextModelFunction& model, const expr::ParameterSet& base,
     const std::string& parameter, const std::vector<double>& values,

@@ -3,10 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/thread_pool.h"
+#include "core/resumable.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
-#include "resil/chaos.h"
 #include "stats/estimators.h"
 
 namespace rascal::faultinj {
@@ -264,79 +262,30 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   const std::vector<HostId> as_hosts =
       prototype.hosts_with_role(HostRole::kAppServer);
 
-  const resil::CancellationToken* cancel = options.control.cancel;
-  resil::Checkpointer* checkpoint = options.control.checkpoint;
-  const bool skip_failures = options.control.skip_failures;
-
-  // Per-trial completion state: 0 = pending, 1 = done, 2 = failed.
-  // Checkpointed trials are replayed into their slots up front and
-  // skipped by the workers; pending trials recompute identically from
-  // root.split(trial), so resumed == uninterrupted bit-for-bit.
+  // Each trial draws from its own root.split(trial) substream and
+  // writes only its own record slot; every worker faults a private copy
+  // of the testbed.
   std::vector<InjectionRecord> records(options.trials);
-  std::vector<unsigned char> status(options.trials, 0);
-  std::vector<std::string> errors(options.trials);
-  if (checkpoint != nullptr) {
-    if (checkpoint->total() != options.trials) {
-      throw resil::CheckpointError(
-          "run_campaign: checkpoint total does not match the trial count");
-    }
-    for (const resil::CheckpointEntry& entry : checkpoint->entries()) {
-      const std::size_t trial = static_cast<std::size_t>(entry.index);
-      if (entry.status == resil::EntryStatus::kOk) {
-        records[trial] = decode_record(entry.words);
-        status[trial] = 1;
-      } else {
-        status[trial] = 2;
-        errors[trial] = entry.note;
-      }
-    }
-  }
-
-  // Each trial draws from its own substream and writes only its own
-  // record slot; every worker faults a private copy of the testbed.
-  // Spans and progress ticks read clocks/atomics only, never the RNG:
-  // every trial still consumes exactly its own substream.
-  obs::Progress progress("campaign", options.trials);
-  core::parallel_for(
-      options.trials, core::resolve_threads(options.threads),
-      [&](std::size_t begin, std::size_t end) {
-        Testbed bed = prototype;
-        for (std::size_t trial = begin; trial < end; ++trial) {
-          if (status[trial] != 0) continue;  // restored from checkpoint
-          if (cancel != nullptr && cancel->cancelled()) return;  // drain
-          try {
-            resil::chaos::worker_hook(trial);
-            const obs::Span trial_span("faultinj.trial");
-            records[trial] =
-                run_trial(trial, bed, hadb_hosts, as_hosts, options.recovery,
-                          root.split(trial));
-            status[trial] = 1;
-            if (checkpoint != nullptr) {
-              checkpoint->record({trial, resil::EntryStatus::kOk,
-                                  encode_record(records[trial]), {}});
-            }
-          } catch (const resil::CancelledError&) {
-            return;  // interrupted mid-trial: leave it pending
-          } catch (const std::exception& failure) {
-            if (!skip_failures) throw;
-            status[trial] = 2;
-            errors[trial] = failure.what();
-            if (checkpoint != nullptr) {
-              checkpoint->record({trial, resil::EntryStatus::kFailed, {},
-                                  failure.what()});
-            }
-            if (obs::enabled()) {
-              obs::counter("faultinj.trials_failed").add(1);
-            }
-            // The trial may have left the shared-prototype copy dirty;
-            // start the next one from a pristine testbed.
-            bed = prototype;
-          }
-          progress.tick();
-        }
-      });
-  progress.finish();
-  if (checkpoint != nullptr) checkpoint->flush();
+  const core::ResumableRun run = core::resumable_for(
+      options.trials, options.threads, options.control,
+      {.engine = "run_campaign",
+       .progress = "campaign",
+       .index_span = "faultinj.trial",
+       .failed_counter = "faultinj.trials_failed",
+       .make_worker =
+           [&] {
+             return [&, bed = prototype](std::size_t trial) mutable {
+               records[trial] =
+                   run_trial(trial, bed, hadb_hosts, as_hosts,
+                             options.recovery, root.split(trial));
+             };
+           },
+       .restore =
+           [&](std::size_t trial, const std::vector<std::uint64_t>& words) {
+             records[trial] = decode_record(words);
+           },
+       .encode =
+           [&](std::size_t trial) { return encode_record(records[trial]); }});
 
   // Order-sensitive aggregation happens serially, in trial order, so
   // the summaries are bit-identical for every thread count.
@@ -344,11 +293,11 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   result.requested = options.trials;
   result.records.reserve(options.trials);
   for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    if (status[trial] == 2) {
-      result.failures.push_back({trial, errors[trial]});
+    if (run.status[trial] == core::IndexStatus::kFailed) {
+      result.failures.push_back({trial, run.errors[trial]});
       continue;
     }
-    if (status[trial] != 1) continue;  // pending (interrupted)
+    if (run.status[trial] != core::IndexStatus::kOk) continue;  // pending
     const InjectionRecord& record = records[trial];
     result.records.push_back(record);
     ++result.trials;
@@ -373,10 +322,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         break;
     }
   }
-  result.interrupted =
-      cancel != nullptr && cancel->cancelled() &&
-      result.trials + result.failures.size() < options.trials;
-  if (result.interrupted) result.interrupt_reason = cancel->describe();
+  result.interrupted = run.interrupted;
+  result.interrupt_reason = run.interrupt_reason;
   if (obs::enabled()) {
     obs::counter("faultinj.trials").add(result.trials);
     obs::counter("faultinj.successes").add(result.successes);

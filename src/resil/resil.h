@@ -9,17 +9,19 @@
 namespace rascal::resil {
 
 /// Resilience knobs accepted by the long-running engines
-/// (uncertainty_analysis, run_campaign, simulate_jsas).  All members
-/// are optional; a default-constructed control reproduces the old
-/// all-or-nothing behavior exactly.
+/// (uncertainty_analysis, run_campaign, simulate_jsas), all three of
+/// which honour them through one loop, core::resumable_for.  All
+/// members are optional; a default-constructed control reproduces the
+/// old all-or-nothing behavior exactly.
 struct ExecutionControl {
   /// When set, polled at every index boundary (and inside iterative
   /// solvers / the event loop); the engine drains, flushes the
   /// checkpoint, and returns partial results marked interrupted.
   const CancellationToken* cancel = nullptr;
 
-  /// When set, completed indices are recorded here and previously
-  /// restored entries are replayed instead of recomputed, making a
+  /// When set, finished indices are recorded here, results and
+  /// failures alike, and restored entries are replayed instead of
+  /// recomputed (a recorded failure replays as a failure), making a
   /// resumed run bit-identical to an uninterrupted one.
   Checkpointer* checkpoint = nullptr;
 

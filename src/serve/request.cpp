@@ -122,6 +122,12 @@ class RequestReader {
   double parse_finite_number() {
     skip_whitespace();
     const char* begin = text_.c_str() + pos_;
+    // strtod also reads hexfloats ("0x1p-10"); JSON does not, and the
+    // CLI's io::parse_finite_double rejects them too.
+    const char* digits = begin + (*begin == '-' || *begin == '+' ? 1 : 0);
+    if (digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
+      fail("hexadecimal numbers are not accepted");
+    }
     char* end = nullptr;
     const double value = std::strtod(begin, &end);
     if (end == begin) fail("expected a number");
@@ -130,10 +136,14 @@ class RequestReader {
     return value;
   }
 
+  // From 2^53 up a double no longer holds every integer, so the count
+  // read could differ from the one written (and casting 2^64 or more
+  // to std::size_t is undefined): such counts are refused.
   std::size_t parse_count(const std::string& field) {
+    constexpr double kFirstInexact = 9007199254740992.0;  // 2^53
     const double value = parse_finite_number();
-    if (value < 0.0 || value != std::floor(value)) {
-      fail("field \"" + field + "\" must be a non-negative integer");
+    if (value < 0.0 || value != std::floor(value) || value >= kFirstInexact) {
+      fail("field \"" + field + "\" must be an integer in [0, 2^53)");
     }
     return static_cast<std::size_t>(value);
   }

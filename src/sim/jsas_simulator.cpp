@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/thread_pool.h"
+#include "core/resumable.h"
 #include "core/units.h"
 #include "obs/obs.h"
-#include "resil/chaos.h"
 #include "stats/rng.h"
 
 namespace rascal::sim {
@@ -91,17 +90,15 @@ struct ReplicationOutcome {
 class Replication {
  public:
   Replication(const models::JsasConfig& config, const SimParams& params,
-              const JsasSimOptions& options, stats::RandomEngine rng,
-              ReplicationOutcome& totals)
+              const JsasSimOptions& options, stats::RandomEngine rng)
       : params_(params),
         options_(options),
         rng_(std::move(rng)),
-        totals_(totals),
         instances_(config.as_instances),
         pairs_(config.hadb_pairs) {}
 
-  /// Runs one replication; returns the availability observed.
-  double run() {
+  /// Runs one replication; returns everything it observed.
+  ReplicationOutcome run() {
     const resil::CancellationToken* cancel = options_.control.cancel;
     double now = 0.0;
     while (now < options_.duration) {
@@ -123,7 +120,10 @@ class Replication {
       ++totals_.events;
       note_system_transition();
     }
-    return 1.0 - down_time_ / options_.duration;
+    totals_.availability = 1.0 - down_time_ / options_.duration;
+    totals_.as_down_time = as_down_time_;
+    totals_.hadb_down_time = hadb_down_time_;
+    return totals_;
   }
 
  private:
@@ -357,7 +357,7 @@ class Replication {
   const SimParams& params_;
   const JsasSimOptions& options_;
   stats::RandomEngine rng_;
-  ReplicationOutcome& totals_;
+  ReplicationOutcome totals_;
 
   std::vector<Instance> instances_;
   std::vector<Pair> pairs_;
@@ -368,12 +368,6 @@ class Replication {
   double down_time_ = 0.0;
   double as_down_time_ = 0.0;
   double hadb_down_time_ = 0.0;
-
- public:
-  [[nodiscard]] double as_down_time() const noexcept { return as_down_time_; }
-  [[nodiscard]] double hadb_down_time() const noexcept {
-    return hadb_down_time_;
-  }
 };
 
 // Checkpoint payload for one replication: the full outcome, exactly
@@ -451,74 +445,37 @@ JsasSimResult simulate_jsas(const models::JsasConfig& config,
   }
   const SimParams sim_params(params);
 
-  const resil::CancellationToken* cancel = options.control.cancel;
-  resil::Checkpointer* checkpoint = options.control.checkpoint;
-
-  // Per-replication completion state: 0 = pending, 1 = done.
-  // Checkpointed replications are replayed into their slots up front
-  // and skipped by the workers; pending ones recompute identically
-  // from root.split(rep), so resumed == uninterrupted bit-for-bit.
-  std::vector<ReplicationOutcome> outcomes(options.replications);
-  std::vector<unsigned char> status(options.replications, 0);
-  if (checkpoint != nullptr) {
-    if (checkpoint->total() != options.replications) {
-      throw resil::CheckpointError(
-          "simulate_jsas: checkpoint total does not match the replication "
-          "count");
-    }
-    for (const resil::CheckpointEntry& entry : checkpoint->entries()) {
-      if (entry.status != resil::EntryStatus::kOk) continue;
-      outcomes[entry.index] = decode_outcome(entry.words);
-      status[entry.index] = 1;
-    }
-  }
-
-  // Replications were already seeded from per-index substreams; run
-  // them on workers, each filling its own outcome slot, then merge in
-  // replication order so every thread count is bit-identical.
+  // Each replication is seeded from its own root.split(rep) substream
+  // and fills its own outcome slot; the merge below runs in replication
+  // order, so every thread count and every resume is bit-identical.
   const stats::RandomEngine root(options.seed);
-  core::parallel_for(
-      options.replications, core::resolve_threads(options.threads),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t rep = begin; rep < end; ++rep) {
-          if (status[rep] != 0) continue;  // restored from checkpoint
-          if (cancel != nullptr && cancel->cancelled()) return;  // drain
-          try {
-            resil::chaos::worker_hook(rep);
-            const obs::Span span("sim.jsas.replication");
-            ReplicationOutcome outcome;
-            Replication replication(config, sim_params, options,
-                                    root.split(rep), outcome);
-            outcome.availability = replication.run();
-            outcome.as_down_time = replication.as_down_time();
-            outcome.hadb_down_time = replication.hadb_down_time();
-            outcomes[rep] = outcome;
-            status[rep] = 1;
-            if (checkpoint != nullptr) {
-              checkpoint->record({rep, resil::EntryStatus::kOk,
-                                  encode_outcome(outcome), {}});
-            }
-          } catch (const resil::CancelledError&) {
-            return;  // interrupted mid-replication: leave it pending
-          } catch (const std::exception& failure) {
-            if (!options.control.skip_failures) throw;
-            status[rep] = 2;
-            if (checkpoint != nullptr) {
-              checkpoint->record({rep, resil::EntryStatus::kFailed, {},
-                                  failure.what()});
-            }
-          }
-        }
-      });
-  if (checkpoint != nullptr) checkpoint->flush();
+  std::vector<ReplicationOutcome> outcomes(options.replications);
+  const core::ResumableRun run = core::resumable_for(
+      options.replications, options.threads, options.control,
+      {.engine = "simulate_jsas",
+       .progress = "simulate",
+       .index_span = "sim.jsas.replication",
+       .failed_counter = "sim.jsas.replications_failed",
+       .make_worker =
+           [&] {
+             return [&](std::size_t rep) {
+               Replication replication(config, sim_params, options,
+                                       root.split(rep));
+               outcomes[rep] = replication.run();
+             };
+           },
+       .restore =
+           [&](std::size_t rep, const std::vector<std::uint64_t>& words) {
+             outcomes[rep] = decode_outcome(words);
+           },
+       .encode =
+           [&](std::size_t rep) { return encode_outcome(outcomes[rep]); }});
 
   JsasSimResult result;
   double as_down_total = 0.0;
   double hadb_down_total = 0.0;
-  std::size_t failed = 0;
   for (std::size_t rep = 0; rep < options.replications; ++rep) {
-    if (status[rep] == 2) ++failed;
-    if (status[rep] != 1) continue;
+    if (run.status[rep] != core::IndexStatus::kOk) continue;
     const ReplicationOutcome& outcome = outcomes[rep];
     ++result.completed_replications;
     result.per_replication_availability.add(outcome.availability);
@@ -532,10 +489,8 @@ JsasSimResult simulate_jsas(const models::JsasConfig& config,
     result.hadb_node_failures += outcome.hadb_node_failures;
     result.events_simulated += outcome.events;
   }
-  result.interrupted =
-      cancel != nullptr && cancel->cancelled() &&
-      result.completed_replications + failed < options.replications;
-  if (result.interrupted) result.interrupt_reason = cancel->describe();
+  result.interrupted = run.interrupted;
+  result.interrupt_reason = run.interrupt_reason;
   // Counters are fed from the ordered merge, not from inside the
   // parallel region, so the tallies are identical for any thread count.
   if (obs::enabled()) {

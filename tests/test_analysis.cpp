@@ -27,8 +27,12 @@ TEST(Linspace, CoversEndpointsEvenly) {
 }
 
 TEST(ParametricSweep, OverridesOnlyTheSweptParameter) {
+  const ContextModelFunction quadratic =
+      [](const expr::ParameterSet& p, ctmc::SolveCache&) {
+        return kQuadratic(p);
+      };
   const auto points =
-      parametric_sweep(kQuadratic, kBase, "x", {0.0, 1.0, 2.0});
+      parametric_sweep(quadratic, kBase, "x", {0.0, 1.0, 2.0});
   ASSERT_EQ(points.size(), 3u);
   EXPECT_DOUBLE_EQ(points[0].metric, 1.0);
   EXPECT_DOUBLE_EQ(points[1].metric, 3.0);

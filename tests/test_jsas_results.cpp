@@ -108,9 +108,9 @@ TEST(Table3, FiveNinesLostAtTenPairs) {
 // ---- Figures 5 and 6 ---------------------------------------------------
 
 TEST(Figure5, Config1LosesFiveNinesNear2Point5Hours) {
-  const analysis::ModelFunction availability =
-      [](const expr::ParameterSet& params) {
-        return solve_jsas(JsasConfig::config1(), params).availability;
+  const analysis::ContextModelFunction availability =
+      [](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
+        return solve_jsas(JsasConfig::config1(), params, cache).availability;
       };
   const auto sweep = analysis::parametric_sweep(
       availability, default_parameters(), "as_Tstart_long",
@@ -125,9 +125,9 @@ TEST(Figure5, Config1LosesFiveNinesNear2Point5Hours) {
 }
 
 TEST(Figure6, Config2IsInsensitiveToAsRecoveryTime) {
-  const analysis::ModelFunction availability =
-      [](const expr::ParameterSet& params) {
-        return solve_jsas(JsasConfig::config2(), params).availability;
+  const analysis::ContextModelFunction availability =
+      [](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
+        return solve_jsas(JsasConfig::config2(), params, cache).availability;
       };
   const auto sweep = analysis::parametric_sweep(
       availability, default_parameters(), "as_Tstart_long", {0.5, 3.0});

@@ -186,10 +186,14 @@ TEST(ParallelDeterminism, SimulatorReplicationsAreThreadCountInvariant) {
 
 TEST(ParallelDeterminism, SweepAndSensitivityAreThreadCountInvariant) {
   const std::vector<double> values = {0.0, 0.5, 1.0, 1.5, 2.0};
+  const analysis::ContextModelFunction quadratic =
+      [](const expr::ParameterSet& p, ctmc::SolveCache&) {
+        return kQuadratic(p);
+      };
   const auto serial =
-      analysis::parametric_sweep(kQuadratic, kBase, "x", values, 1);
+      analysis::parametric_sweep(quadratic, kBase, "x", values, 1);
   const auto parallel =
-      analysis::parametric_sweep(kQuadratic, kBase, "x", values, 4);
+      analysis::parametric_sweep(quadratic, kBase, "x", values, 4);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(parallel[i].parameter_value, serial[i].parameter_value);

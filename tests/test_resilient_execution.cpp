@@ -275,6 +275,47 @@ TEST(ResilientSimulation, FaultedReplicationResumesBitIdentically) {
   std::remove(path.c_str());
 }
 
+TEST(ResilientSimulation, RecordedFailureIsReplayedNotRecomputed) {
+  ChaosGuard guard;
+  const std::string path = temp_path("sim_failure_replay.json");
+  std::remove(path.c_str());
+
+  const models::JsasConfig config = models::JsasConfig::config1();
+  const expr::ParameterSet params = models::default_parameters();
+  sim::JsasSimOptions options;
+  options.duration = 8760.0;
+  options.replications = 6;
+  options.seed = 33;
+  options.threads = 1;
+  options.control.skip_failures = true;
+  const std::uint64_t digest =
+      sim::jsas_sim_checkpoint_digest(config, params, options);
+
+  // Pass 1: replication 2 fails and is skipped; its failure is on disk
+  // next to the five results.
+  resil::chaos::configure("worker-throw@2");
+  resil::Checkpointer first(path, "jsas-sim", digest, options.replications);
+  first.set_flush_every(1);
+  options.control.checkpoint = &first;
+  const auto skipped = sim::simulate_jsas(config, params, options);
+  resil::chaos::configure("");
+  ASSERT_EQ(skipped.completed_replications, 5u);
+
+  // Pass 2: with chaos off, the resumed run replays the recorded
+  // failure instead of running replication 2 again, so it reports
+  // what the run that wrote the checkpoint reported.
+  resil::Checkpointer second(path, "jsas-sim", digest, options.replications);
+  EXPECT_EQ(second.resume_from_disk(), options.replications);
+  options.control.checkpoint = &second;
+  const auto resumed = sim::simulate_jsas(config, params, options);
+
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.completed_replications, 5u);
+  EXPECT_EQ(resumed.availability, skipped.availability);
+  EXPECT_EQ(resumed.events_simulated, skipped.events_simulated);
+  std::remove(path.c_str());
+}
+
 // --- Solver escalation ---------------------------------------------------
 
 ctmc::Ctmc availability_chain() {

@@ -69,6 +69,9 @@ TEST(ServeRequest, RejectsHostileInput) {
       R"({"model": "m.rasc", "set": {"": 1}})",         // empty name
       R"({"model": "m.rasc", "max_iterations": -3})",   // negative count
       R"({"model": "m.rasc", "max_iterations": 1.5})",  // fractional
+      R"({"model": "m.rasc", "max_iterations": 1e30})",    // past size_t
+      R"({"model": "m.rasc", "sparse_threshold": 1e30})",  // past size_t
+      R"({"model": "m.rasc", "set": {"FIR": 0x1p-10}})",   // hexfloat
       R"({"model": "m.rasc"} trailing)",                // trailing text
       R"({"model": "m.rasc")",                          // unterminated
       R"({"model": "m.rasc", "set": {"FIR": }})",       // missing value
@@ -77,6 +80,17 @@ TEST(ServeRequest, RejectsHostileInput) {
     EXPECT_THROW((void)parse_request(line), RequestError)
         << "accepted: " << line;
   }
+}
+
+TEST(ServeRequest, CountsAreExactIntegersBelowTwoToThe53) {
+  // Every integer below 2^53 survives the trip through a double; 2^53
+  // is also what "9007199254740993" reads as, so it is refused.
+  const Request request = parse_request(
+      R"({"model": "m.rasc", "max_iterations": 9007199254740991})");
+  EXPECT_EQ(request.max_iterations, 9007199254740991u);
+  const std::string past =
+      R"({"model": "m.rasc", "max_iterations": 9007199254740993})";
+  EXPECT_THROW((void)parse_request(past), RequestError);
 }
 
 TEST(ServeRequest, OutputNamesRoundTripAndSelectTheirMetric) {

@@ -275,6 +275,16 @@ bool parse_uint64(const char* text, std::uint64_t& out) {
   return false;
 }
 
+// --method, --precond and --metric take a name from their enum's own
+// table; a name that is not there is reported like a malformed number.
+template <typename Enum>
+bool parse_name(const char* text, const std::string& flag,
+                bool (*parse)(const std::string&, Enum&), Enum& out) {
+  if (parse(text, out)) return true;
+  std::cerr << "invalid value '" << text << "' for " << flag << "\n";
+  return false;
+}
+
 bool parse_arguments(int argc, char** argv, Arguments& args) {
   if (argc < 2) return false;
   args.command = argv[1];
@@ -298,10 +308,15 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       if (!value || !parse_set(value, args.overrides)) return false;
     } else if (flag == "--method") {
       const char* value = next();
-      if (!value || !ctmc::parse_method(value, args.method)) return false;
+      if (!value || !parse_name(value, flag, ctmc::parse_method, args.method)) {
+        return false;
+      }
     } else if (flag == "--precond") {
       const char* value = next();
-      if (!value || !linalg::parse_precond(value, args.precond)) return false;
+      if (!value ||
+          !parse_name(value, flag, linalg::parse_precond, args.precond)) {
+        return false;
+      }
     } else if (flag == "--sparse-threshold") {
       const char* value = next();
       if (!value || !parse_size(value, args.sparse_threshold)) return false;
@@ -391,7 +406,9 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       args.werror = true;
     } else if (flag == "--metric") {
       const char* value = next();
-      if (!value || !serve::parse_output(value, args.metric)) return false;
+      if (!value || !parse_name(value, flag, serve::parse_output, args.metric)) {
+        return false;
+      }
     } else if (flag == "--start") {
       const char* value = next();
       if (!value) return false;
