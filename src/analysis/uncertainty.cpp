@@ -1,5 +1,6 @@
 #include "analysis/uncertainty.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/resumable.h"
@@ -120,8 +121,11 @@ UncertaintyResult uncertainty_analysis(
   result.interrupt_reason = run.interrupt_reason;
   if (!result.metrics.empty()) {
     result.mean = result.summary.mean();
-    result.interval80 = stats::sample_interval(result.metrics, 0.8);
-    result.interval90 = stats::sample_interval(result.metrics, 0.9);
+    // One sorted copy answers all four bounds.
+    std::vector<double> sorted = result.metrics;
+    std::sort(sorted.begin(), sorted.end());
+    result.interval80 = stats::sorted_interval(sorted, 0.8);
+    result.interval90 = stats::sorted_interval(sorted, 0.9);
   }
   return result;
 }

@@ -1,12 +1,17 @@
 #include "check/oracle.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <typeinfo>
 
 #include "core/metrics.h"
 #include "ctmc/solve_cache.h"
 #include "ctmc/steady_state.h"
 #include "ctmc/transient.h"
+#include "ctmc/validate.h"
 #include "linalg/expm.h"
 #include "linalg/workspace.h"
 #include "resil/retry.h"
@@ -537,6 +542,119 @@ OracleReport check_retry_consensus(const ctmc::Ctmc& chain,
       }
       report.expect_close("sparse ladder never densifies",
                           krylov_only ? 1.0 : 0.0, 1.0, 0.0);
+    }
+  }
+  return report;
+}
+
+namespace {
+
+// What a call produced: a value, or an exception's dynamic type and
+// message.
+template <typename T>
+struct Outcome {
+  std::optional<T> value;
+  std::string error;  // "<type>: <what()>"
+};
+
+template <typename T, typename Fn>
+Outcome<T> outcome_of(Fn&& fn) {
+  Outcome<T> out;
+  try {
+    out.value.emplace(fn());
+  } catch (const std::exception& e) {
+    out.error = std::string(typeid(e).name()) + ": " + e.what();
+  }
+  return out;
+}
+
+void expect_same_bits(OracleReport& report, const std::string& what,
+                      double got, double want) {
+  ++report.checks;
+  if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want)) {
+    std::ostringstream os;
+    os.precision(17);
+    os << what << ": " << got << " vs " << want << " (bits differ)";
+    report.failures.push_back(os.str());
+  }
+}
+
+void expect_equal(OracleReport& report, const std::string& what,
+                  const std::string& got, const std::string& want) {
+  ++report.checks;
+  if (got != want) {
+    report.failures.push_back(what + ": '" + got + "' vs '" + want + "'");
+  }
+}
+
+}  // namespace
+
+OracleReport check_bind_consensus(const ctmc::SymbolicCtmc& model,
+                                  const expr::ParameterSet& params) {
+  OracleReport report;
+  const auto bound =
+      outcome_of<ctmc::Ctmc>([&] { return model.bind(params); });
+  const auto reference =
+      outcome_of<ctmc::Ctmc>([&] { return model.bind_reference(params); });
+  expect_equal(report, "exception", bound.error, reference.error);
+  if (!bound.value || !reference.value) return report;
+  const ctmc::Ctmc& got = *bound.value;
+  const ctmc::Ctmc& want = *reference.value;
+
+  expect_same_bits(report, "state count",
+                   static_cast<double>(got.num_states()),
+                   static_cast<double>(want.num_states()));
+  expect_same_bits(report, "transition count",
+                   static_cast<double>(got.transitions().size()),
+                   static_cast<double>(want.transitions().size()));
+  if (!report.ok()) return report;
+  for (std::size_t s = 0; s < want.num_states(); ++s) {
+    const std::string& name = want.state_name(s);
+    expect_equal(report, "state " + std::to_string(s), got.state_name(s),
+                 name);
+    expect_same_bits(report, "reward of " + name, got.reward(s),
+                     want.reward(s));
+    expect_same_bits(report, "exit rate of " + name, got.exit_rate(s),
+                     want.exit_rate(s));
+  }
+  for (std::size_t k = 0; k < want.transitions().size(); ++k) {
+    const ctmc::Transition& g = got.transitions()[k];
+    const ctmc::Transition& w = want.transitions()[k];
+    const std::string what = "transition " + std::to_string(k);
+    expect_same_bits(report, what + " from", static_cast<double>(g.from),
+                     static_cast<double>(w.from));
+    expect_same_bits(report, what + " to", static_cast<double>(g.to),
+                     static_cast<double>(w.to));
+    expect_same_bits(report, what + " rate", g.rate, w.rate);
+  }
+  ++report.checks;
+  if (ctmc::SolveCache::generator_digest(got) !=
+      ctmc::SolveCache::generator_digest(want)) {
+    report.failures.push_back("generator digests differ");
+  }
+
+  // Which path ran: a zero rate drops a transition, which only the
+  // reference path reproduces.
+  bool zero_rate = false;
+  for (const auto& t : model.transitions()) {
+    zero_rate = zero_rate || t.rate.evaluate(params) == 0.0;
+  }
+  const bool valid = !ctmc::validate_for_steady_state(want).has_errors();
+  expect_same_bits(report, "steady-state verdict carried by the chain",
+                   got.steady_state_prevalidated() ? 1.0 : 0.0,
+                   !zero_rate && valid ? 1.0 : 0.0);
+
+  const auto solved = outcome_of<ctmc::SteadyState>(
+      [&] { return ctmc::solve_steady_state(got); });
+  const auto solved_reference = outcome_of<ctmc::SteadyState>(
+      [&] { return ctmc::solve_steady_state(want); });
+  expect_equal(report, "solve exception", solved.error,
+               solved_reference.error);
+  if (solved.value && solved_reference.value) {
+    for (std::size_t s = 0; s < want.num_states(); ++s) {
+      expect_same_bits(report, "pi[" + want.state_name(s) + "]",
+                       solved.value->probabilities[s],
+                       solved_reference.value->probabilities[s]);
     }
   }
   return report;

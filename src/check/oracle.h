@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "ctmc/builder.h"
 #include "ctmc/ctmc.h"
+#include "expr/parameter_set.h"
 #include "linalg/matrix.h"
 #include "sim/ctmc_simulator.h"
 
@@ -122,5 +124,21 @@ struct OracleOptions {
 /// sparse descents never densifying).
 [[nodiscard]] OracleReport check_retry_consensus(
     const ctmc::Ctmc& chain, const OracleOptions& options = {});
+
+/// Tolerance-zero gate for the compiled bind (ctmc/builder.h):
+/// model.bind(params) must reproduce model.bind_reference(params),
+/// which evaluates every AST and feeds the public Ctmc constructor.
+/// Compared: state names and reward bits, transition order and rate
+/// bits, exit-rate bits, SolveCache::generator_digest, and the outcome
+/// of a GTH solve with validation on (the same probability bits, or
+/// the same exception).  When the reference throws, bind must throw
+/// the same exception type with the same message.  The steady-state
+/// verdict is checked at the source too: a draw without a zero rate
+/// must come out of the compiled path carrying the verdict of a fresh
+/// validate_for_steady_state (Ctmc::steady_state_prevalidated), and a
+/// draw with one must come out of the reference path without it, so a
+/// compiled path that silently never runs fails the gate.
+[[nodiscard]] OracleReport check_bind_consensus(
+    const ctmc::SymbolicCtmc& model, const expr::ParameterSet& params);
 
 }  // namespace rascal::check

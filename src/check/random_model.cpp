@@ -131,6 +131,79 @@ GeneratedModel random_erlang_chain(stats::RandomEngine& rng,
   return out;
 }
 
+namespace {
+
+// A random rate expression over a, b, c and d, positive in exact
+// arithmetic when they are.
+std::string random_rate_expression(stats::RandomEngine& rng, int depth) {
+  static constexpr const char* kLeaves[] = {"a", "b", "c", "d",
+                                            "0.5", "2", "1.25"};
+  if (depth == 0 || rng.bernoulli(0.25)) {
+    return kLeaves[rng.uniform_index(std::size(kLeaves))];
+  }
+  const std::string x = random_rate_expression(rng, depth - 1);
+  const std::string y = random_rate_expression(rng, depth - 1);
+  switch (rng.uniform_index(12)) {
+    case 0: return "(" + x + "+" + y + ")";
+    case 1: return x + "*" + y;
+    case 2: return "(" + x + ")/(" + y + ")";
+    case 3: return "(" + x + ")^2";
+    case 4: return "(" + x + "-" + "-" + y + ")";
+    case 5: return "(" + x + "+" + y + "-" + y + "/2)";
+    case 6: return "exp(-(" + x + ")/10)";
+    case 7: return "log(1+" + x + ")";
+    case 8: return "sqrt(" + x + ")";
+    case 9: return "abs(" + x + ")*min(" + x + "," + y + ")";
+    case 10: return "max(" + x + "," + y + ")";
+    default: return "pow(" + x + ",1.5)";
+  }
+}
+
+}  // namespace
+
+GeneratedSymbolicModel random_symbolic_ctmc(
+    stats::RandomEngine& rng, const RandomModelOptions& options) {
+  const std::size_t n = random_size(rng, options);
+  GeneratedSymbolicModel out;
+  for (const char* name : {"a", "b", "c", "d"}) {
+    out.params.set(name, std::exp(rng.uniform(std::log(0.1), std::log(10.0))));
+  }
+  out.params.set("z", 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    (void)out.model.state("s" + std::to_string(i),
+                          i == 0 || !rng.bernoulli(options.down_probability)
+                              ? 1.0
+                              : 0.0);
+  }
+  const auto name = [](std::size_t i) { return "s" + std::to_string(i); };
+  const auto add = [&](std::size_t from, std::size_t to, bool scalable) {
+    std::string rate = random_rate_expression(rng, 3);
+    if (scalable && rng.bernoulli(0.3)) rate = "z*(" + rate + ")";
+    out.model.rate(name(from), name(to), rate);
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i, ++count) add(i, (i + 1) % n, false);
+  // Parallel transitions on one pair.
+  const std::size_t from = rng.uniform_index(n);
+  const std::size_t to = (from + 1 + rng.uniform_index(n - 1)) % n;
+  const std::size_t parallel = 3 + rng.uniform_index(3);
+  for (std::size_t k = 0; k < parallel; ++k, ++count) add(from, to, true);
+  while (count <= 16) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j && rng.bernoulli(options.extra_edge_probability)) {
+          add(i, j, true);
+          ++count;
+        }
+      }
+    }
+  }
+  out.description = "symbolic(n=" + std::to_string(n) +
+                     ", transitions=" + std::to_string(count) +
+                     ", parallel=" + std::to_string(parallel) + ")";
+  return out;
+}
+
 ctmc::Ctmc rescale_rates(const ctmc::Ctmc& chain, double factor) {
   if (!(factor > 0.0) || !std::isfinite(factor)) {
     throw std::invalid_argument("rescale_rates: factor must be positive");

@@ -14,7 +14,9 @@
 #include <optional>
 #include <string>
 
+#include "ctmc/builder.h"
 #include "ctmc/ctmc.h"
+#include "expr/parameter_set.h"
 #include "linalg/matrix.h"
 #include "stats/rng.h"
 
@@ -60,6 +62,26 @@ struct GeneratedModel {
 /// Erlang-style absorbing chain Stage1 -> ... -> StageK -> Absorbed
 /// with random per-stage rates; analytic_mtta = sum of stage means.
 [[nodiscard]] GeneratedModel random_erlang_chain(
+    stats::RandomEngine& rng, const RandomModelOptions& options = {});
+
+/// A symbolic chain for the compiled-bind oracle (check_bind_consensus)
+/// and a parameter point at which every rate is positive.
+struct GeneratedSymbolicModel {
+  ctmc::SymbolicCtmc model;
+  expr::ParameterSet params;  // a, b, c, d log-uniform in [0.1, 10]; z = 1
+  std::string description;
+};
+
+/// Random symbolic chain: a Hamiltonian cycle, random extra edges, and
+/// one pair carrying 3 to 5 parallel transitions, with more than 16
+/// transitions in all (std::sort switches from insertion sort above
+/// 16 elements, and parallel rates are summed in sorted order).  Rates
+/// are random expressions over the parameters a, b, c and d that use
+/// + - * / ^, unary minus and every builtin, and are positive in exact
+/// arithmetic while the parameters are (a nested exp may still
+/// underflow to 0).  A few extra edges and parallels are scaled by a
+/// factor z, so a draw with z = 0 drops them.
+[[nodiscard]] GeneratedSymbolicModel random_symbolic_ctmc(
     stats::RandomEngine& rng, const RandomModelOptions& options = {});
 
 /// Uniformly rescales every transition rate by `factor` (> 0), the

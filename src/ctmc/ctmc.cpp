@@ -44,10 +44,7 @@ Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
   }
 
   // Sort and merge parallel transitions.
-  std::sort(transitions.begin(), transitions.end(),
-            [](const Transition& a, const Transition& b) {
-              return a.from != b.from ? a.from < b.from : a.to < b.to;
-            });
+  sort_by_endpoints(transitions);
   for (const Transition& t : transitions) {
     if (!transitions_.empty() && transitions_.back().from == t.from &&
         transitions_.back().to == t.to) {
@@ -56,7 +53,26 @@ Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
       transitions_.push_back(t);
     }
   }
+  build_index();
+}
 
+Ctmc::Ctmc(Prevalidated, std::vector<State> states,
+           std::vector<Transition> transitions,
+           bool steady_state_prevalidated)
+    : states_(std::move(states)),
+      transitions_(std::move(transitions)),
+      steady_state_prevalidated_(steady_state_prevalidated) {
+  build_index();
+}
+
+void Ctmc::sort_by_endpoints(std::vector<Transition>& transitions) {
+  std::sort(transitions.begin(), transitions.end(),
+            [](const Transition& a, const Transition& b) {
+              return a.from != b.from ? a.from < b.from : a.to < b.to;
+            });
+}
+
+void Ctmc::build_index() {
   row_offsets_.assign(states_.size() + 1, 0);
   for (const Transition& t : transitions_) ++row_offsets_[t.from + 1];
   for (std::size_t i = 0; i < states_.size(); ++i) {

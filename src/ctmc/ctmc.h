@@ -89,13 +89,39 @@ class Ctmc {
   /// Largest exit rate over all states (uniformization constant base).
   [[nodiscard]] double max_exit_rate() const noexcept;
 
+  /// True when a compiled SymbolicCtmc bound this chain and its
+  /// transition pattern passed validate_for_steady_state when the
+  /// model was compiled.  The pattern alone decides that check, so
+  /// solve_steady_state does not repeat it for such a chain.
+  [[nodiscard]] bool steady_state_prevalidated() const noexcept {
+    return steady_state_prevalidated_;
+  }
+
  private:
+  friend class SymbolicCtmc;
+
+  // SymbolicCtmc's compiled bind: `transitions` are already sorted and
+  // merged, and the state table was validated when the model was
+  // compiled.
+  struct Prevalidated {};
+  Ctmc(Prevalidated, std::vector<State> states,
+       std::vector<Transition> transitions, bool steady_state_prevalidated);
+
+  // The one sort every chain's transitions go through: std::sort by
+  // (from, to).  It is not stable, so the order of parallel
+  // transitions, and with it the bits of their merged rate, is
+  // whatever this call leaves.
+  static void sort_by_endpoints(std::vector<Transition>& transitions);
+
+  void build_index();
+
   std::vector<State> states_;
   std::vector<Transition> transitions_;
   // Adjacency index: transitions_ offsets sorted by (from, to); built
   // once in the constructor.
   std::vector<std::size_t> row_offsets_;
   std::vector<double> exit_rates_;
+  bool steady_state_prevalidated_ = false;
 };
 
 }  // namespace rascal::ctmc

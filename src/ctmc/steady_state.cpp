@@ -155,7 +155,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
                                Validation validation,
                                const SolveControl& control) {
   const obs::Span span("ctmc.solve_steady_state");
-  if (validation == Validation::kOn) {
+  if (validation == Validation::kOn && !chain.steady_state_prevalidated()) {
     throw_if_errors(validate_for_steady_state(chain));
   }
 

@@ -116,7 +116,9 @@ struct SteadyState {
 /// states are tolerated and get probability zero): by default a
 /// fail-fast structural check (validate.h, codes R010/R013) rejects
 /// ill-posed chains with a diagnostics-carrying lint::LintError
-/// (a std::domain_error) before any numerics run.  Pass
+/// (a std::domain_error) before any numerics run; a chain that a
+/// compiled SymbolicCtmc bound carries the check's verdict from
+/// compile time (Ctmc::steady_state_prevalidated).  Pass
 /// Validation::kOff to skip the check — direct methods then raise a
 /// plain std::domain_error on singular systems and iterative methods
 /// fail to converge (reported via residual).

@@ -175,6 +175,19 @@ double BinaryNode::evaluate(const ParameterSet& params) const {
   throw std::logic_error("BinaryNode: unreachable");
 }
 
+void BinaryNode::emit(ProgramSet::Builder& out) const {
+  lhs_->emit(out);
+  rhs_->emit(out);
+  switch (op_) {
+    case BinaryOp::kAdd: out.emit(OpCode::kAdd); return;
+    case BinaryOp::kSubtract: out.emit(OpCode::kSubtract); return;
+    case BinaryOp::kMultiply: out.emit(OpCode::kMultiply); return;
+    case BinaryOp::kDivide: out.emit(OpCode::kDivide); return;
+    case BinaryOp::kPower: out.emit(OpCode::kPower); return;
+  }
+  throw std::logic_error("BinaryNode::emit: unreachable");
+}
+
 std::string BinaryNode::to_string() const {
   const char* op = "?";
   switch (op_) {
@@ -192,11 +205,14 @@ namespace {
 struct Builtin {
   const char* name;
   std::size_t arity;
+  OpCode op;
 };
 
 constexpr Builtin kBuiltins[] = {
-    {"exp", 1}, {"log", 1}, {"sqrt", 1}, {"abs", 1},
-    {"min", 2}, {"max", 2}, {"pow", 2},
+    {"exp", 1, OpCode::kExp},   {"log", 1, OpCode::kLog},
+    {"sqrt", 1, OpCode::kSqrt}, {"abs", 1, OpCode::kAbs},
+    {"min", 2, OpCode::kMin},   {"max", 2, OpCode::kMax},
+    {"pow", 2, OpCode::kPower},
 };
 
 }  // namespace
@@ -251,6 +267,17 @@ double CallNode::evaluate(const ParameterSet& params) const {
   if (function_ == "max") return std::max(arg(0), arg(1));
   if (function_ == "pow") return std::pow(arg(0), arg(1));
   throw std::logic_error("CallNode: unreachable");
+}
+
+void CallNode::emit(ProgramSet::Builder& out) const {
+  for (const NodePtr& a : args_) a->emit(out);
+  for (const Builtin& b : kBuiltins) {
+    if (function_ == b.name) {
+      out.emit(b.op);
+      return;
+    }
+  }
+  throw std::logic_error("CallNode::emit: unreachable");
 }
 
 std::string CallNode::to_string() const {

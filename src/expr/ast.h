@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "expr/parameter_set.h"
+#include "expr/program.h"
 
 namespace rascal::expr {
 
@@ -26,6 +27,9 @@ class Node {
   /// max) whose argument depends on the variable.
   [[nodiscard]] virtual NodePtr differentiate(
       const std::string& variable) const = 0;
+  /// Appends this subtree's postfix code (program.h): operands first,
+  /// left to right, then the operation.
+  virtual void emit(ProgramSet::Builder& out) const = 0;
 };
 
 class NumberNode final : public Node {
@@ -37,6 +41,9 @@ class NumberNode final : public Node {
   void collect_variables(std::set<std::string>&) const override {}
   [[nodiscard]] std::string to_string() const override;
   [[nodiscard]] NodePtr differentiate(const std::string&) const override;
+  void emit(ProgramSet::Builder& out) const override {
+    out.emit(OpCode::kConstant, value_);
+  }
 
  private:
   double value_;
@@ -54,6 +61,9 @@ class VariableNode final : public Node {
   [[nodiscard]] std::string to_string() const override { return name_; }
   [[nodiscard]] NodePtr differentiate(
       const std::string& variable) const override;
+  void emit(ProgramSet::Builder& out) const override {
+    out.emit_variable(name_);
+  }
 
  private:
   std::string name_;
@@ -73,6 +83,7 @@ class BinaryNode final : public Node {
   [[nodiscard]] std::string to_string() const override;
   [[nodiscard]] NodePtr differentiate(
       const std::string& variable) const override;
+  void emit(ProgramSet::Builder& out) const override;
 
  private:
   BinaryOp op_;
@@ -94,6 +105,10 @@ class NegateNode final : public Node {
   }
   [[nodiscard]] NodePtr differentiate(
       const std::string& variable) const override;
+  void emit(ProgramSet::Builder& out) const override {
+    operand_->emit(out);
+    out.emit(OpCode::kNegate);
+  }
 
  private:
   NodePtr operand_;
@@ -110,6 +125,7 @@ class CallNode final : public Node {
   [[nodiscard]] std::string to_string() const override;
   [[nodiscard]] NodePtr differentiate(
       const std::string& variable) const override;
+  void emit(ProgramSet::Builder& out) const override;
 
   /// True when `name` is a known builtin.
   [[nodiscard]] static bool is_builtin(const std::string& name);

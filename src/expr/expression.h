@@ -12,6 +12,7 @@
 
 #include "expr/ast.h"
 #include "expr/parameter_set.h"
+#include "expr/program.h"
 
 namespace rascal::expr {
 
@@ -44,6 +45,8 @@ class Expression {
   [[nodiscard]] const std::string& source() const noexcept { return source_; }
 
  private:
+  friend class ProgramSet::Builder;  // compiles root_
+
   Expression(NodePtr root, std::string source);
 
   NodePtr root_;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "expr/expression.h"
@@ -78,8 +79,20 @@ ctmc::Ctmc ModelFile::bind(const expr::ParameterSet& overrides) const {
 
 ModelFile parse_model(std::istream& in) {
   ModelFile out;
-  std::set<std::string> state_names;
   std::set<std::string> param_names;
+  // Generated models repeat a few rewards and rate expressions over
+  // thousands of lines; each distinct text is parsed once and the
+  // lines share its AST.  A text that fails to parse is not stored, so
+  // its first line reports the error as before.
+  std::unordered_map<std::string, expr::Expression> parsed_texts;
+  const auto parse_once =
+      [&parsed_texts](const std::string& text) -> const expr::Expression& {
+    auto found = parsed_texts.find(text);
+    if (found == parsed_texts.end()) {
+      found = parsed_texts.emplace(text, expr::Expression::parse(text)).first;
+    }
+    return found->second;
+  };
   std::string raw;
   std::size_t line_number = 0;
   bool has_rate = false;
@@ -127,13 +140,13 @@ ModelFile parse_model(std::istream& in) {
                                  ? directive_col
                                  : reward_kw_col);
       }
-      if (!state_names.insert(name).second) {
+      if (out.model.find_state(name)) {
         throw ModelFileError("duplicate state '" + name + "'", line_number,
                              name_col);
       }
       double reward = 0.0;
       try {
-        const expr::Expression parsed = expr::Expression::parse(reward_text);
+        const expr::Expression& parsed = parse_once(reward_text);
         for (const std::string& used : parsed.variables()) {
           out.params_used_in_definitions.insert(used);
         }
@@ -153,20 +166,22 @@ ModelFile parse_model(std::istream& in) {
         throw ModelFileError("expected 'rate FROM TO EXPRESSION'",
                              line_number, directive_col);
       }
-      if (!state_names.count(from)) {
+      if (!out.model.find_state(from)) {
         throw ModelFileError("unknown state '" + from + "'", line_number,
                              from_col);
       }
-      if (!state_names.count(to)) {
+      if (!out.model.find_state(to)) {
         throw ModelFileError("unknown state '" + to + "'", line_number,
                              to_col);
       }
+      const expr::Expression* rate = nullptr;
       try {
-        out.model.rate(from, to, expression);
+        rate = &parse_once(expression);
       } catch (const std::exception& e) {
         throw ModelFileError(std::string("bad rate expression: ") + e.what(),
                              line_number, expr_col);
       }
+      out.model.rate(from, to, *rate);
       out.source.transitions.push_back({line_number, from_col});
       has_rate = true;
     } else {
@@ -175,7 +190,7 @@ ModelFile parse_model(std::istream& in) {
     }
   }
 
-  if (state_names.empty()) {
+  if (out.model.num_states() == 0) {
     throw ModelFileError("model declares no states", line_number);
   }
   if (!has_rate) {

@@ -533,8 +533,9 @@ LintReport lint_model(const ctmc::SymbolicCtmc& model,
   LintReport report = lint_symbolic(model, params, options);
   if (!report.has_errors()) {
     // Zero-rate transitions are legitimately dropped at bind; the
-    // symbolic pass already warned about them (R024).
-    report.merge(lint_ctmc(model.bind(params), options));
+    // symbolic pass already warned about them (R024).  A lint binds
+    // once, so it does not compile the model.
+    report.merge(lint_ctmc(model.bind_reference(params), options));
   }
 
   if (source == nullptr) return report;

@@ -475,6 +475,9 @@ JsasSimResult simulate_jsas(const models::JsasConfig& config,
   double as_down_total = 0.0;
   double hadb_down_total = 0.0;
   for (std::size_t rep = 0; rep < options.replications; ++rep) {
+    if (run.status[rep] == core::IndexStatus::kFailed) {
+      result.failures.push_back({rep, run.errors[rep]});
+    }
     if (run.status[rep] != core::IndexStatus::kOk) continue;
     const ReplicationOutcome& outcome = outcomes[rep];
     ++result.completed_replications;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "expr/parameter_set.h"
 #include "models/jsas_system.h"
@@ -40,6 +41,13 @@ struct JsasSimOptions {
   resil::ExecutionControl control;
 };
 
+/// A replication whose run threw (recorded under
+/// ExecutionControl::skip_failures instead of aborting the simulation).
+struct ReplicationFailure {
+  std::size_t replication = 0;
+  std::string error;
+};
+
 struct JsasSimResult {
   double availability = 1.0;
   stats::Interval availability_ci95;
@@ -56,6 +64,7 @@ struct JsasSimResult {
   std::uint64_t events_simulated = 0;  // dispatched events, all replications
   stats::Summary per_replication_availability;
 
+  std::vector<ReplicationFailure> failures;  // dropped, in replication order
   std::size_t completed_replications = 0;  // merged into the result
   bool interrupted = false;                // cancelled with work pending
   std::string interrupt_reason;            // cancel token's describe()

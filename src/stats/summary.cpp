@@ -35,27 +35,43 @@ double Summary::standard_error() const noexcept {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) {
+namespace {
+
+// Type-7 percentile of an ascending sample.
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
     throw std::invalid_argument("percentile: empty sample");
   }
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("percentile: p outside [0, 1]");
   }
-  std::sort(sample.begin(), sample.end());
-  const double h = p * static_cast<double>(sample.size() - 1);
+  const double h = p * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(h));
   const auto hi = static_cast<std::size_t>(std::ceil(h));
   const double frac = h - std::floor(h);
-  return sample[lo] + frac * (sample[hi] - sample[lo]);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-Interval sample_interval(const std::vector<double>& sample, double level) {
+}  // namespace
+
+double percentile(std::vector<double> sample, double p) {
+  std::sort(sample.begin(), sample.end());
+  return sorted_percentile(sample, p);
+}
+
+Interval sorted_interval(const std::vector<double>& sorted, double level) {
   if (!(level > 0.0) || !(level < 1.0)) {
     throw std::invalid_argument("sample_interval: level outside (0, 1)");
   }
   const double tail = 0.5 * (1.0 - level);
-  return {percentile(sample, tail), percentile(sample, 1.0 - tail)};
+  return {sorted_percentile(sorted, tail),
+          sorted_percentile(sorted, 1.0 - tail)};
+}
+
+Interval sample_interval(const std::vector<double>& sample, double level) {
+  std::vector<double> sorted = sample;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted_interval(sorted, level);
 }
 
 Interval mean_confidence_interval(const Summary& summary, double level) {

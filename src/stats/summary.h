@@ -42,12 +42,19 @@ class Summary {
 
 /// Symmetric sample interval: returns {percentile((1-level)/2),
 /// percentile(1-(1-level)/2)} — e.g. level = 0.8 gives the (10%, 90%)
-/// interval used for the paper's "80% confidence interval".
+/// interval used for the paper's "80% confidence interval".  Sorts one
+/// copy of the sample for both bounds.
 struct Interval {
   double lower = 0.0;
   double upper = 0.0;
 };
 [[nodiscard]] Interval sample_interval(const std::vector<double>& sample,
+                                       double level);
+
+/// sample_interval() of a sample already sorted ascending: no copy and
+/// no sort, so one sorted copy can answer several levels with the bits
+/// sample_interval() gives.
+[[nodiscard]] Interval sorted_interval(const std::vector<double>& sorted,
                                        double level);
 
 /// Normal-approximation confidence interval for the mean.

@@ -300,6 +300,10 @@ TEST(ResilientSimulation, RecordedFailureIsReplayedNotRecomputed) {
   const auto skipped = sim::simulate_jsas(config, params, options);
   resil::chaos::configure("");
   ASSERT_EQ(skipped.completed_replications, 5u);
+  ASSERT_EQ(skipped.failures.size(), 1u);
+  EXPECT_EQ(skipped.failures[0].replication, 2u);
+  EXPECT_EQ(skipped.failures[0].error,
+            "chaos: injected worker fault at index 2");
 
   // Pass 2: with chaos off, the resumed run replays the recorded
   // failure instead of running replication 2 again, so it reports
@@ -311,6 +315,9 @@ TEST(ResilientSimulation, RecordedFailureIsReplayedNotRecomputed) {
 
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.completed_replications, 5u);
+  ASSERT_EQ(resumed.failures.size(), 1u);
+  EXPECT_EQ(resumed.failures[0].replication, 2u);
+  EXPECT_EQ(resumed.failures[0].error, skipped.failures[0].error);
   EXPECT_EQ(resumed.availability, skipped.availability);
   EXPECT_EQ(resumed.events_simulated, skipped.events_simulated);
   std::remove(path.c_str());

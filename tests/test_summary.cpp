@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+
+#include "stats/rng.h"
 
 namespace rascal::stats {
 namespace {
@@ -57,6 +62,43 @@ TEST(SampleInterval, EightyPercentCoversMiddle) {
   const Interval ci = sample_interval(sample, 0.8);
   EXPECT_NEAR(ci.lower, 100.0, 1.5);
   EXPECT_NEAR(ci.upper, 900.0, 1.5);
+}
+
+TEST(SampleInterval, OneSortGivesThePerBoundPercentileBits) {
+  // Ties, signed zeros and one- and two-element samples: bounds read
+  // from one sorted copy must carry the bits percentile() gives when
+  // it sorts a fresh copy for every bound.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<std::vector<double>> samples = {
+      {0.0}, {-0.0}, {3.5}, {-0.0, 0.0}, {0.0, -0.0}, {2.0, -1.0}, {1.0, 1.0}};
+  RandomEngine rng(2024);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> sample(1 + rng.uniform_index(40));
+    for (double& x : sample) {
+      switch (rng.uniform_index(4)) {
+        case 0: x = 0.0; break;
+        case 1: x = -0.0; break;
+        case 2: x = static_cast<double>(rng.uniform_index(3)); break;
+        default: x = rng.uniform(-1e3, 1e3); break;
+      }
+    }
+    samples.push_back(std::move(sample));
+  }
+  for (const std::vector<double>& sample : samples) {
+    std::vector<double> sorted = sample;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double level : {0.8, 0.9, 0.5, 0.999}) {
+      const double tail = 0.5 * (1.0 - level);
+      const double lower = percentile(sample, tail);
+      const double upper = percentile(sample, 1.0 - tail);
+      const Interval once = sample_interval(sample, level);
+      const Interval shared = sorted_interval(sorted, level);
+      EXPECT_EQ(bits(once.lower), bits(lower));
+      EXPECT_EQ(bits(once.upper), bits(upper));
+      EXPECT_EQ(bits(shared.lower), bits(lower));
+      EXPECT_EQ(bits(shared.upper), bits(upper));
+    }
+  }
 }
 
 TEST(MeanConfidenceInterval, IsSymmetricAroundMean) {
