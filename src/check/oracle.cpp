@@ -7,6 +7,7 @@
 #include <sstream>
 #include <typeinfo>
 
+#include "check/reference_solvers.h"
 #include "core/metrics.h"
 #include "ctmc/solve_cache.h"
 #include "ctmc/steady_state.h"
@@ -27,6 +28,60 @@ double availability_of(const ctmc::Ctmc& chain, const linalg::Vector& pi) {
     if (chain.reward(s) >= core::kDefaultUpThreshold) up += pi[s];
   }
   return up;
+}
+
+// The production methods: the workspace, shared-cache and retry gates
+// run each of them.
+constexpr ctmc::SteadyStateMethod kProductionMethods[] = {
+    ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kGmres,
+    ctmc::SteadyStateMethod::kBiCgStab};
+
+// One steady-state answer under comparison.  `error` holds the
+// exception's message when the solver refused the chain.
+struct Answer {
+  std::string name;
+  bool iterative = false;
+  linalg::Vector pi;
+  double residual = 0.0;
+  std::string error;
+};
+
+// Production GTH, then the LU reference and, when the options ask for
+// them, the iterative references.
+std::vector<Answer> solve_all(const ctmc::Ctmc& chain,
+                              const OracleOptions& options) {
+  std::vector<Answer> answers;
+  Answer gth;
+  gth.name = "gth";
+  try {
+    ctmc::SteadyState steady =
+        ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGth);
+    gth.pi = std::move(steady.probabilities);
+    gth.residual = steady.residual;
+  } catch (const std::exception& e) {
+    gth.error = e.what();
+  }
+  answers.push_back(std::move(gth));
+
+  std::vector<ReferenceSolver> references = {ReferenceSolver::kLu};
+  if (options.include_iterative) {
+    references.push_back(ReferenceSolver::kPower);
+    references.push_back(ReferenceSolver::kGaussSeidel);
+  }
+  for (const ReferenceSolver solver : references) {
+    Answer answer;
+    answer.name = to_string(solver);
+    answer.iterative = solver != ReferenceSolver::kLu;
+    try {
+      ReferenceResult result = solve_reference(chain, solver);
+      answer.pi = std::move(result.pi);
+      answer.residual = result.residual;
+    } catch (const std::exception& e) {
+      answer.error = e.what();
+    }
+    answers.push_back(std::move(answer));
+  }
+  return answers;
 }
 
 }  // namespace
@@ -61,43 +116,27 @@ void OracleReport::expect_close(const std::string& what, double lhs,
 
 OracleReport check_steady_state_consensus(const ctmc::Ctmc& chain,
                                           const OracleOptions& options) {
-  std::vector<ctmc::SteadyStateMethod> methods = {
-      ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kLu};
-  if (options.include_iterative) {
-    methods.push_back(ctmc::SteadyStateMethod::kPower);
-    methods.push_back(ctmc::SteadyStateMethod::kGaussSeidel);
-  }
-
   OracleReport report;
-  std::vector<ctmc::SteadyState> solutions;
-  solutions.reserve(methods.size());
-  for (const auto method : methods) {
-    try {
-      solutions.push_back(ctmc::solve_steady_state(chain, method));
-    } catch (const std::exception& e) {
-      ++report.checks;
-      report.failures.push_back(std::string(ctmc::to_string(method)) +
-                                ": threw: " + e.what());
-      solutions.push_back({});
-    }
+  const std::vector<Answer> answers = solve_all(chain, options);
+  for (const Answer& answer : answers) {
+    if (answer.error.empty()) continue;
+    ++report.checks;
+    report.failures.push_back(answer.name + ": threw: " + answer.error);
   }
 
   // Each solution must satisfy its own balance equations...
-  for (std::size_t m = 0; m < methods.size(); ++m) {
-    if (solutions[m].probabilities.empty()) continue;
-    report.expect_close(std::string("residual ||pi Q|| (") +
-                            ctmc::to_string(methods[m]) + ")",
-                        solutions[m].residual, 0.0,
-                        options.steady_tolerance);
+  for (const Answer& answer : answers) {
+    if (answer.pi.empty()) continue;
+    report.expect_close("residual ||pi Q|| (" + answer.name + ")",
+                        answer.residual, 0.0, options.steady_tolerance);
   }
   // ...and all pairs must agree state-by-state and on availability.
-  for (std::size_t a = 0; a < methods.size(); ++a) {
-    for (std::size_t b = a + 1; b < methods.size(); ++b) {
-      const auto& pa = solutions[a].probabilities;
-      const auto& pb = solutions[b].probabilities;
+  for (std::size_t a = 0; a < answers.size(); ++a) {
+    for (std::size_t b = a + 1; b < answers.size(); ++b) {
+      const auto& pa = answers[a].pi;
+      const auto& pb = answers[b].pi;
       if (pa.empty() || pb.empty()) continue;
-      const std::string pair = std::string(ctmc::to_string(methods[a])) +
-                               " vs " + ctmc::to_string(methods[b]);
+      const std::string pair = answers[a].name + " vs " + answers[b].name;
       for (std::size_t s = 0; s < chain.num_states(); ++s) {
         report.expect_close(pair + " pi[" + chain.state_name(s) + "]",
                             pa[s], pb[s], options.steady_tolerance);
@@ -114,35 +153,22 @@ OracleReport check_steady_state_consensus(const ctmc::Ctmc& chain,
 OracleReport check_steady_state_against(const ctmc::Ctmc& chain,
                                         const linalg::Vector& expected,
                                         const OracleOptions& options) {
-  std::vector<ctmc::SteadyStateMethod> methods = {
-      ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kLu};
-  if (options.include_iterative) {
-    methods.push_back(ctmc::SteadyStateMethod::kPower);
-    methods.push_back(ctmc::SteadyStateMethod::kGaussSeidel);
-  }
   OracleReport report;
-  for (const auto method : methods) {
-    ctmc::SteadyState steady;
-    try {
-      steady = ctmc::solve_steady_state(chain, method);
-    } catch (const std::exception& e) {
-      // Iterative methods may honestly refuse to converge on skewed
+  for (const Answer& answer : solve_all(chain, options)) {
+    if (!answer.error.empty()) {
+      // Iterative references may honestly refuse to converge on skewed
       // chains (e.g. strongly drifted birth-death walks); refusal is
-      // not disagreement.  Direct methods have no such excuse.
-      const bool iterative = method == ctmc::SteadyStateMethod::kPower ||
-                             method == ctmc::SteadyStateMethod::kGaussSeidel;
-      if (!iterative) {
+      // not disagreement.  Direct solvers have no such excuse.
+      if (!answer.iterative) {
         ++report.checks;
-        report.failures.push_back(std::string(ctmc::to_string(method)) +
-                                  ": threw: " + e.what());
+        report.failures.push_back(answer.name + ": threw: " + answer.error);
       }
       continue;
     }
     for (std::size_t s = 0; s < chain.num_states(); ++s) {
-      report.expect_close(std::string(ctmc::to_string(method)) +
-                              " vs closed form pi[" + chain.state_name(s) +
-                              "]",
-                          steady.probabilities[s], expected[s],
+      report.expect_close(answer.name + " vs closed form pi[" +
+                              chain.state_name(s) + "]",
+                          answer.pi[s], expected[s],
                           options.steady_tolerance);
     }
   }
@@ -172,20 +198,12 @@ OracleReport check_transient_consensus(const ctmc::Ctmc& chain, double t,
   return report;
 }
 
-OracleReport check_workspace_consensus(const ctmc::Ctmc& chain, double t,
-                                       const OracleOptions& options) {
-  std::vector<ctmc::SteadyStateMethod> methods = {
-      ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kLu};
-  if (options.include_iterative) {
-    methods.push_back(ctmc::SteadyStateMethod::kPower);
-    methods.push_back(ctmc::SteadyStateMethod::kGaussSeidel);
-  }
-
+OracleReport check_workspace_consensus(const ctmc::Ctmc& chain, double t) {
   OracleReport report;
   // One workspace shared across all methods and repeats, so every
   // solve after the first runs against deliberately dirty scratch.
   linalg::SolveWorkspace workspace;
-  for (const auto method : methods) {
+  for (const auto method : kProductionMethods) {
     const std::string name = ctmc::to_string(method);
     ctmc::SteadyState fresh;
     try {
@@ -390,18 +408,9 @@ OracleReport check_krylov_consensus(const ctmc::Ctmc& chain,
   return report;
 }
 
-OracleReport check_shared_cache_consensus(const ctmc::Ctmc& chain,
-                                          const OracleOptions& options) {
+OracleReport check_shared_cache_consensus(const ctmc::Ctmc& chain) {
   OracleReport report;
-
-  std::vector<ctmc::SteadyStateMethod> methods = {
-      ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kLu};
-  if (options.include_iterative) {
-    methods.push_back(ctmc::SteadyStateMethod::kPower);
-    methods.push_back(ctmc::SteadyStateMethod::kGaussSeidel);
-  }
-
-  for (const auto method : methods) {
+  for (const auto method : kProductionMethods) {
     const std::string name = ctmc::to_string(method);
     const ctmc::SteadyState fresh = ctmc::solve_steady_state(chain, method);
 
@@ -438,19 +447,9 @@ OracleReport check_shared_cache_consensus(const ctmc::Ctmc& chain,
   return report;
 }
 
-OracleReport check_retry_consensus(const ctmc::Ctmc& chain,
-                                   const OracleOptions& options) {
+OracleReport check_retry_consensus(const ctmc::Ctmc& chain) {
   OracleReport report;
-
-  std::vector<ctmc::SteadyStateMethod> methods = {
-      ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kGmres,
-      ctmc::SteadyStateMethod::kBiCgStab};
-  if (options.include_iterative) {
-    methods.push_back(ctmc::SteadyStateMethod::kPower);
-    methods.push_back(ctmc::SteadyStateMethod::kGaussSeidel);
-  }
-
-  for (const auto method : methods) {
+  for (const auto method : kProductionMethods) {
     const std::string name = ctmc::to_string(method);
     const ctmc::SteadyState direct = ctmc::solve_steady_state(chain, method);
 

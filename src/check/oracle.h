@@ -2,8 +2,9 @@
 // implementation of the same quantity on one model and demand
 // agreement.
 //
-// The repo computes steady-state probabilities four ways (GTH, LU,
-// power iteration, Gauss-Seidel), transient distributions two ways
+// The repo computes steady-state probabilities with the production
+// GTH solver and three reference solvers (LU, power iteration,
+// Gauss-Seidel; reference_solvers.h), transient distributions two ways
 // (uniformization, dense matrix exponential), and availability a
 // third way again by Monte Carlo trajectory simulation.  A shared
 // bias in one path against hand-derived unit-test constants can pass
@@ -52,20 +53,23 @@ struct OracleOptions {
   // small absolute floor for zero-variance corner cases).
   double ci_factor = 4.0;
   double ci_absolute_floor = 1e-9;
-  // Include the iterative methods (power, Gauss-Seidel).  Direct-only
-  // mode is for stiff chains where power iteration's uniformized
-  // spectral gap would need millions of sweeps.
+  // Include the iterative reference solvers (power, Gauss-Seidel) in
+  // the steady-state consensus checks.  Direct-only mode is for stiff
+  // chains where power iteration's uniformized spectral gap would need
+  // millions of sweeps.
   bool include_iterative = true;
 };
 
-/// Runs every applicable steady-state solver on `chain` and checks
-/// all pairs against each other (per-state probabilities, availability
-/// at threshold 0.5) plus each solution's balance residual ||pi Q||.
+/// Runs production GTH and every applicable reference solver on
+/// `chain` and checks all pairs against each other (per-state
+/// probabilities, availability at threshold 0.5) plus each solution's
+/// balance residual ||pi Q||.
 [[nodiscard]] OracleReport check_steady_state_consensus(
     const ctmc::Ctmc& chain, const OracleOptions& options = {});
 
-/// Checks every solver against an externally known stationary vector
-/// (closed-form birth-death solutions from random_model.h).
+/// Checks production GTH and every applicable reference solver against
+/// an externally known stationary vector (closed-form birth-death
+/// solutions from random_model.h).
 [[nodiscard]] OracleReport check_steady_state_against(
     const ctmc::Ctmc& chain, const linalg::Vector& expected,
     const OracleOptions& options = {});
@@ -85,10 +89,11 @@ struct OracleOptions {
 /// through a reused (and deliberately dirty) SolveWorkspace and
 /// batched multi-RHS interval rewards must all reproduce the
 /// fresh-allocation path exactly — tolerance zero —
-/// across every steady-state method in `options` and both transient
-/// evaluators (distribution and interval reward) at horizon `t`.
-[[nodiscard]] OracleReport check_workspace_consensus(
-    const ctmc::Ctmc& chain, double t, const OracleOptions& options = {});
+/// across every production steady-state method (GTH, GMRES, BiCGStab,
+/// all through one workspace) and both transient evaluators
+/// (distribution and interval reward) at horizon `t`.
+[[nodiscard]] OracleReport check_workspace_consensus(const ctmc::Ctmc& chain,
+                                                   double t);
 
 /// Differential gate for the sparse Krylov engine: GMRES and BiCGStab
 /// under every preconditioner (none, Jacobi, ILU(0)) must agree with
@@ -101,15 +106,15 @@ struct OracleOptions {
     const ctmc::Ctmc& chain, const OracleOptions& options = {});
 
 /// Bit-identity gate for the shared concurrent solve cache: for each
-/// steady-state method, the distribution a worker's SolveCache serves
-/// on a cold miss, and the one a different worker's SolveCache pulls
-/// from the shared tier, must both reproduce the direct
+/// production steady-state method, the distribution a worker's
+/// SolveCache serves on a cold miss, and the one a different worker's
+/// SolveCache pulls from the shared tier, must both reproduce the direct
 /// solve_steady_state() result exactly — tolerance zero.  Also checks
 /// that the shared tier actually recorded the publish and the
 /// cross-cache hit (a silently disabled cache would pass bit-identity
 /// trivially).
 [[nodiscard]] OracleReport check_shared_cache_consensus(
-    const ctmc::Ctmc& chain, const OracleOptions& options = {});
+    const ctmc::Ctmc& chain);
 
 /// Bit-identity gate for the serve supervision layer (retry +
 /// fallback ladder): a supervised solve that recovers from injected
@@ -122,8 +127,7 @@ struct OracleOptions {
 /// function of its inputs (same rungs on every call, rung 0 the
 /// requested configuration, dense descents ending on exact GTH,
 /// sparse descents never densifying).
-[[nodiscard]] OracleReport check_retry_consensus(
-    const ctmc::Ctmc& chain, const OracleOptions& options = {});
+[[nodiscard]] OracleReport check_retry_consensus(const ctmc::Ctmc& chain);
 
 /// Tolerance-zero gate for the compiled bind (ctmc/builder.h):
 /// model.bind(params) must reproduce model.bind_reference(params),

@@ -36,7 +36,6 @@ HierarchicalModel& HierarchicalModel::set_root(ctmc::SymbolicCtmc root,
 }
 
 HierarchicalResult HierarchicalModel::solve(const expr::ParameterSet& inputs,
-                                            ctmc::SteadyStateMethod method,
                                             ctmc::SolveCache* cache) const {
   if (!has_root_) {
     throw std::logic_error("HierarchicalModel::solve: no root model set");
@@ -45,8 +44,8 @@ HierarchicalResult HierarchicalModel::solve(const expr::ParameterSet& inputs,
   expr::ParameterSet params = inputs;
 
   const auto solve_chain = [&](const ctmc::Ctmc& chain) {
-    return cache != nullptr ? cache->steady_state(chain, method)
-                            : ctmc::solve_steady_state(chain, method);
+    return cache != nullptr ? cache->steady_state(chain)
+                            : ctmc::solve_steady_state(chain);
   };
 
   for (const Submodel& sub : submodels_) {

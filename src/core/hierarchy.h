@@ -68,8 +68,9 @@ class HierarchicalModel {
   HierarchicalModel& set_root(ctmc::SymbolicCtmc root,
                               double up_threshold = kDefaultUpThreshold);
 
-  /// Solves the hierarchy bottom-up with the given input parameters.
-  /// Throws expr::UnknownParameterError when a referenced parameter is
+  /// Solves the hierarchy bottom-up with the given input parameters,
+  /// each submodel and the root by GTH.  Throws
+  /// expr::UnknownParameterError when a referenced parameter is
   /// neither an input nor an earlier export, and std::logic_error when
   /// no root model has been set.
   ///
@@ -78,7 +79,6 @@ class HierarchicalModel {
   /// (oracle-gated).
   [[nodiscard]] HierarchicalResult solve(
       const expr::ParameterSet& inputs,
-      ctmc::SteadyStateMethod method = ctmc::SteadyStateMethod::kGth,
       ctmc::SolveCache* cache = nullptr) const;
 
   [[nodiscard]] std::size_t num_submodels() const noexcept {

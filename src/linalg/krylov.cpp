@@ -11,10 +11,10 @@ namespace rascal::linalg {
 
 namespace {
 
-// Chaos hook `solver-nonconverge@K` (shared with the classic
-// iterative solvers): Krylov methods converge on small systems even
-// under a harsh iteration cap, so the hook zeroes the budget outright
-// — the solve gives up immediately and the escalation cascade runs.
+// Chaos hook `solver-nonconverge@K`: Krylov methods converge on small
+// systems even under a harsh iteration cap, so the hook zeroes the
+// budget of the K-th Krylov solve outright — the solve gives up
+// immediately and the GTH fallback runs.
 std::size_t chaos_capped_budget(std::size_t max_iterations) {
   if (resil::chaos::enabled() && resil::chaos::tick("solver-nonconverge")) {
     return 0;
@@ -412,8 +412,8 @@ KrylovResult solve_stationary(const CsrMatrix& q, const KrylovOptions& options,
 
   KrylovResult result = use_gmres ? gmres(a, b, opts) : bicgstab(a, b, opts);
 
-  // Mirror the dense LU path: clamp tiny negative round-off, then
-  // renormalize (guarded so a diverged iterate is returned as-is).
+  // Clamp tiny negative round-off, then renormalize (guarded so a
+  // diverged iterate is returned as-is).
   double sum = 0.0;
   for (double& pr : result.x) {
     if (pr < 0.0 && pr > -1e-12) pr = 0.0;

@@ -15,8 +15,8 @@
 //
 // The stationary wrappers solve pi Q = 0, sum(pi) = 1 through the
 // normalized augmented system — Q^T with the last balance row
-// replaced by the all-ones normalization row, b = e_{n-1} — the exact
-// sparse analogue of the dense LU path in ctmc/steady_state.cpp.
+// replaced by the all-ones normalization row, b = e_{n-1} — the
+// sparse analogue of the LU reference in check/reference_solvers.h.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +83,7 @@ struct KrylovResult {
 /// Stationary distribution of the CTMC generator Q via GMRES /
 /// BiCGStab on the augmented system, started from the uniform
 /// distribution; the solution is clamped and normalized exactly like
-/// the dense LU path.
+/// the LU reference.
 [[nodiscard]] KrylovResult gmres_stationary(const CsrMatrix& q,
                                             const KrylovOptions& options = {});
 [[nodiscard]] KrylovResult bicgstab_stationary(

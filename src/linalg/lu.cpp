@@ -10,22 +10,12 @@ namespace {
 constexpr double kSingularThreshold = 1e-300;
 }  // namespace
 
-LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
-  factorize();
-}
-
-void LuDecomposition::refactor(const Matrix& a) {
-  lu_ = a;  // vector copy-assignment reuses the existing heap block
-  factorize();
-}
-
-void LuDecomposition::factorize() {
+LuDecomposition::LuDecomposition(Matrix a)
+    : lu_(std::move(a)), perm_(lu_.rows()) {
   if (!lu_.square()) {
     throw std::invalid_argument("LuDecomposition: matrix must be square");
   }
   const std::size_t n = lu_.rows();
-  pivot_sign_ = 1;
-  perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
 
   for (std::size_t k = 0; k < n; ++k) {
@@ -64,12 +54,6 @@ void LuDecomposition::factorize() {
 }
 
 Vector LuDecomposition::solve(const Vector& b) const {
-  Vector x;
-  solve_into(b, x);
-  return x;
-}
-
-void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
   const std::size_t n = lu_.rows();
   if (b.size() != n) {
     throw std::invalid_argument("LuDecomposition::solve: size mismatch");
@@ -78,7 +62,7 @@ void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
   // writing the intermediate y into x so no scratch vector is needed:
   // position r only reads y[c] for c < r, which is already final.
   const double* lu = lu_.data().data();
-  x.resize(n);
+  Vector x(n);
   for (std::size_t r = 0; r < n; ++r) {
     double acc = b[perm_[r]];
     const double* row = lu + r * n;
@@ -92,6 +76,7 @@ void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
     for (std::size_t c = ri + 1; c < n; ++c) acc -= row[c] * x[c];
     x[ri] = acc / row[ri];
   }
+  return x;
 }
 
 Matrix LuDecomposition::solve(const Matrix& b) const {

@@ -2,8 +2,8 @@
 //
 // Batch drivers (uncertainty analysis, parametric sweeps, fault
 // campaigns) solve thousands of same-shaped systems in a row.  A
-// SolveWorkspace owns the dense elimination scratch, LU factors and
-// vector temporaries those solves need, so a worker performs O(1)
+// SolveWorkspace owns the dense elimination scratch and vector
+// temporaries those solves need, so a worker performs O(1)
 // heap allocations over a whole batch instead of O(samples) matrix
 // churn.  Reusing a workspace never changes results: the workspace
 // only recycles storage, every solve refills it from scratch and runs
@@ -17,7 +17,6 @@
 #include <deque>
 #include <vector>
 
-#include "linalg/lu.h"
 #include "linalg/matrix.h"
 
 namespace rascal::linalg {
@@ -28,10 +27,6 @@ class SolveWorkspace {
   /// callers that reshape/refill it themselves (e.g. via
   /// Ctmc::write_generator).
   [[nodiscard]] Matrix& dense_storage() noexcept { return dense_; }
-
-  /// Resident LU decomposition: refactor() into it per solve and the
-  /// packed-factor storage is reused across the whole batch.
-  [[nodiscard]] LuDecomposition& lu() noexcept { return lu_; }
 
   /// Vector scratch slot `slot` resized to n and zero-filled.  Slots
   /// are independent buffers; callers that need several concurrent
@@ -57,7 +52,6 @@ class SolveWorkspace {
 
  private:
   Matrix dense_;
-  LuDecomposition lu_;
   Vector vectors_[kVectorSlots];
   std::deque<Vector> sparse_vectors_;
   std::vector<Vector> basis_;

@@ -123,8 +123,7 @@ JsasResult solve_jsas(const JsasConfig& config,
   const core::HierarchicalModel& model = cached_jsas_model(config);
   expr::ParameterSet bound = params;
   bound.set("N_pair", static_cast<double>(config.hadb_pairs));
-  core::HierarchicalResult hr = model.solve(
-      bound, ctmc::SteadyStateMethod::kGth, &cache);
+  core::HierarchicalResult hr = model.solve(bound, &cache);
 
   result.availability = hr.system.availability;
   result.downtime_minutes_per_year = hr.system.downtime_minutes_per_year;

@@ -6,7 +6,7 @@
 //
 //   worker-throw@7        throw ChaosError when worker index 7 starts
 //   sigterm@40            raise(SIGTERM) when worker index 40 starts
-//   solver-nonconverge@0  force the 0th iterative solve to not converge
+//   solver-nonconverge@0  force the 0th Krylov solve to not converge
 //   solver-fault@0        0th supervised solve attempt throws a
 //                         retryable resil::TransientError (serve)
 //   sink-write-fail@2     2nd results-sink record write fails

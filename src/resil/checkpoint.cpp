@@ -359,7 +359,8 @@ std::size_t Checkpointer::resume_from_disk() {
   if (file.digest != digest_) {
     throw CheckpointError(
         "checkpoint: run-configuration digest mismatch — the checkpoint was "
-        "written by a run with different seed/count/range settings");
+        "written by a run with different settings (seed, count or ranges; "
+        "model, parameter values, metric or solver options)");
   }
   if (file.total != total_) {
     throw CheckpointError("checkpoint: total mismatch (file has " +

@@ -40,8 +40,8 @@ std::vector<LadderRung> fallback_ladder(ctmc::SteadyStateMethod method,
   rungs.push_back({method, precond});
   if (num_states <= threshold) {
     // Dense regime: substitute methods, ending at GTH — the same
-    // exact, cannot-nonconverge terminal the ctmc escalation cascade
-    // uses.  Krylov rungs keep the requested preconditioner.
+    // exact, cannot-nonconverge terminal the ctmc Krylov-to-GTH
+    // fallback uses.  Krylov rungs keep the requested preconditioner.
     const ctmc::SteadyStateMethod chain[] = {
         ctmc::SteadyStateMethod::kGmres, ctmc::SteadyStateMethod::kBiCgStab,
         ctmc::SteadyStateMethod::kGth};

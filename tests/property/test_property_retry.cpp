@@ -30,7 +30,7 @@ TEST(RetryConsensus, BitIdenticalOn60RandomErgodicModels) {
         << report.summary();
     total_checks += report.checks;
   }
-  // 5 methods x 3 fault counts x (states + bookkeeping) per model.
+  // 3 methods x 3 fault counts x (states + bookkeeping) per model.
   EXPECT_GT(total_checks, 60u * 50u);
 }
 
@@ -38,13 +38,11 @@ TEST(RetryConsensus, BitIdenticalOnStiffModelsDirectOnly) {
   RandomModelOptions stiff;
   stiff.min_rate = 1e-3;
   stiff.max_rate = 1e3;
-  OracleOptions options;
-  options.include_iterative = false;
   stats::RandomEngine root(0x2E7241BB);
   for (std::uint64_t i = 0; i < 30; ++i) {
     stats::RandomEngine rng = root.split(i);
     const GeneratedModel model = random_ergodic_ctmc(rng, stiff);
-    const OracleReport report = check_retry_consensus(model.chain, options);
+    const OracleReport report = check_retry_consensus(model.chain);
     EXPECT_TRUE(report.ok())
         << model.description << " [stream " << i << "]\n"
         << report.summary();

@@ -80,9 +80,7 @@ TEST(SolveCacheKey, EverySolveControlFieldDiscriminates) {
   expect_new_key("validation off", base, Method::kGth,
                  ctmc::Validation::kOff);
 
-  for (const Method method : {Method::kLu, Method::kPower,
-                              Method::kGaussSeidel, Method::kGmres,
-                              Method::kBiCgStab}) {
+  for (const Method method : {Method::kGmres, Method::kBiCgStab}) {
     expect_new_key("method", base, method);
   }
 }
@@ -240,22 +238,20 @@ TEST(SharedCacheConsensus, BitIdenticalOn60RandomErgodicModels) {
         << report.summary();
     total_checks += report.checks;
   }
-  // 4 methods x 3 serving paths x (states + residual) + tier stats.
+  // 3 methods x 2 serving paths x (states + residual) + tier stats.
   EXPECT_GT(total_checks, 60u * 30u);
 }
 
 TEST(SharedCacheConsensus, BitIdenticalOnStiffModelsDirectOnly) {
+  // The availability regime, through every production method.
   RandomModelOptions stiff;
   stiff.min_rate = 1e-3;
   stiff.max_rate = 1e3;
-  OracleOptions options;
-  options.include_iterative = false;
   stats::RandomEngine root(0x0CAC517F);
   for (std::uint64_t i = 0; i < 30; ++i) {
     stats::RandomEngine rng = root.split(i);
     const GeneratedModel model = random_ergodic_ctmc(rng, stiff);
-    const OracleReport report =
-        check_shared_cache_consensus(model.chain, options);
+    const OracleReport report = check_shared_cache_consensus(model.chain);
     EXPECT_TRUE(report.ok())
         << model.description << " [stream " << i << "]\n"
         << report.summary();

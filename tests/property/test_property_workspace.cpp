@@ -25,8 +25,8 @@ TEST(WorkspaceConsensus, BitIdenticalOn80RandomErgodicModels) {
         << report.summary();
     total_checks += report.checks;
   }
-  // Per model: 4 methods x (2 workspace reps + cache) x states, plus
-  // the transient and batched-reward comparisons.
+  // Per model: 3 methods x 2 workspace reps x (states + residual),
+  // plus the transient and batched-reward comparisons.
   EXPECT_GT(total_checks, 80u * 30u);
 }
 
@@ -43,20 +43,16 @@ TEST(WorkspaceConsensus, BitIdenticalOnBirthDeathModels) {
 }
 
 TEST(WorkspaceConsensus, BitIdenticalOnStiffModelsDirectOnly) {
-  // Six orders of magnitude between rates: the availability regime.
-  // Iterative methods may honestly refuse these; the workspace gate
-  // only needs the direct methods to stay bit-stable.
+  // Six orders of magnitude between rates: the availability regime,
+  // through every production method.
   RandomModelOptions stiff;
   stiff.min_rate = 1e-3;
   stiff.max_rate = 1e3;
-  OracleOptions options;
-  options.include_iterative = false;
   stats::RandomEngine root(0x571FF);
   for (std::uint64_t i = 0; i < 30; ++i) {
     stats::RandomEngine rng = root.split(i);
     const GeneratedModel model = random_ergodic_ctmc(rng, stiff);
-    const OracleReport report =
-        check_workspace_consensus(model.chain, 0.01, options);
+    const OracleReport report = check_workspace_consensus(model.chain, 0.01);
     EXPECT_TRUE(report.ok())
         << model.description << " [stream " << i << "]\n"
         << report.summary();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/uncertainty.h"
+#include "check/reference_solvers.h"
 #include "core/hierarchy.h"
 #include "core/units.h"
 #include "ctmc/compose.h"
@@ -102,20 +103,48 @@ TEST(Consistency, SpnRouteMatchesDirectRouteThroughHierarchy) {
   EXPECT_NEAR(metrics.availability, direct.availability, 1e-12);
 }
 
-// Consistency: the two direct solvers agree across the whole
-// hierarchy.  (The iterative solvers are *expected* to struggle on
-// chains this stiff — spectral gap ~1e-9 — which is exactly why GTH
-// is the default; bench_solvers quantifies this.)
+// Consistency: production GTH and the LU reference agree across the
+// whole hierarchy, on each submodel and then on the root.  (The
+// iterative references are *expected* to struggle on chains this
+// stiff — spectral gap ~1e-9 — which is exactly why GTH is the
+// default; bench_solvers quantifies this.)
 TEST(Consistency, DirectSolversAgreeOnFullHierarchy) {
-  const auto model = models::jsas_model(models::JsasConfig::config2());
+  const auto config = models::JsasConfig::config2();
   expr::ParameterSet params = models::default_parameters();
   params.set("N_pair", 4.0);
-  const auto gth = model.solve(params, ctmc::SteadyStateMethod::kGth);
-  const auto lu = model.solve(params, ctmc::SteadyStateMethod::kLu);
-  EXPECT_NEAR(lu.system.unavailability, gth.system.unavailability,
-              gth.system.unavailability * 1e-6);
-  EXPECT_NEAR(lu.system.mtbf_hours, gth.system.mtbf_hours,
-              gth.system.mtbf_hours * 1e-6);
+  const core::HierarchicalResult gth =
+      models::jsas_model(config).solve(params);
+  ASSERT_EQ(gth.submodels.size(), 2u);
+
+  // The chains the hierarchy solved, in its order: the two submodels
+  // of models::jsas_model, then its root, each bound to the final
+  // parameters (no submodel reads a later export).
+  ctmc::SymbolicCtmc root;
+  root.state("Ok", 1.0);
+  root.state("AS_Fail", 0.0);
+  root.state("HADB_Fail", 0.0);
+  root.rate("Ok", "AS_Fail", "La_appl").rate("AS_Fail", "Ok", "Mu_appl");
+  root.rate("Ok", "HADB_Fail", "N_pair*La_hadb_pair")
+      .rate("HADB_Fail", "Ok", "Mu_hadb_pair");
+  const expr::ParameterSet& bound = gth.effective_params;
+  const std::vector<std::pair<ctmc::Ctmc, const ctmc::SteadyState*>> levels =
+      {{models::app_server_n_instance_model(config.as_instances).bind(bound),
+        &gth.submodels[0].steady},
+       {models::hadb_pair_model().bind(bound), &gth.submodels[1].steady},
+       {root.bind(bound), &gth.root_steady}};
+  for (const auto& [chain, steady] : levels) {
+    // The rebuilt chain is the one the hierarchy solved.
+    ASSERT_EQ(ctmc::solve_steady_state(chain).probabilities,
+              steady->probabilities);
+    ctmc::SteadyState lu;
+    lu.probabilities =
+        check::solve_reference(chain, check::ReferenceSolver::kLu).pi;
+    const auto want = core::availability_metrics(chain, *steady);
+    const auto got = core::availability_metrics(chain, lu);
+    EXPECT_NEAR(got.unavailability, want.unavailability,
+                want.unavailability * 1e-6);
+    EXPECT_NEAR(got.mtbf_hours, want.mtbf_hours, want.mtbf_hours * 1e-6);
+  }
 }
 
 // Property sweep: the Figure-2 hierarchical abstraction stays within

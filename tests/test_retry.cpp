@@ -143,7 +143,6 @@ TEST(FallbackLadder, SparseDescentDowngradesPrecondThenSwitchesMethod) {
 
 TEST(FallbackLadder, SparseDescentNeverDensifies) {
   for (const auto method : {ctmc::SteadyStateMethod::kGth,
-                            ctmc::SteadyStateMethod::kLu,
                             ctmc::SteadyStateMethod::kGmres,
                             ctmc::SteadyStateMethod::kBiCgStab}) {
     const auto rungs = serve::fallback_ladder(

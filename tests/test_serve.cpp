@@ -61,6 +61,7 @@ TEST(ServeRequest, RejectsHostileInput) {
       R"({"model": ""})",                          // empty model path
       R"({"model": "m.rasc", "methd": "lu"})",     // typoed field
       R"({"model": "m.rasc", "method": "qr"})",    // unknown method
+      R"({"model": "m.rasc", "method": "lu"})",    // reference solver
       R"({"model": "m.rasc", "precond": "amg"})",  // unknown precond
       R"({"model": "m.rasc", "outputs": []})",     // empty outputs
       R"({"model": "m.rasc", "outputs": ["upness"]})",  // unknown output

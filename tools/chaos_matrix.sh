@@ -65,7 +65,7 @@ run_entry() {
     uncertainty)
       env ${spec:+RASCAL_CHAOS="$spec"} RASCAL_CHECKPOINT_EVERY=1 \
         "$cli" uncertainty "$model" --range FIR=0:0.002 --samples 16 \
-        --seed 3 --method power --checkpoint "$ck" \
+        --seed 3 --method gmres --checkpoint "$ck" \
         >"$out" 2>"$err" || status=$?
       ;;
     campaign)

@@ -38,13 +38,14 @@
 // exceeded; 128+N interrupted by signal N after checkpointing (130
 // SIGINT, 143 SIGTERM).
 //
-// Methods: gth (default), lu, power, gauss-seidel, gmres, bicgstab.
+// Methods: gth (default), gmres, bicgstab.
 // Outputs (--metric): availability (default), unavailability,
 // downtime, mtbf, mttf, mttr, reward_rate, failure_frequency.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,7 +103,7 @@ int usage() {
   std::cerr
       << "usage:\n"
          "  rascal_cli solve  MODEL.rasc [--set NAME=VALUE ...] "
-         "[--method gth|lu|power|gauss-seidel|gmres|bicgstab]\n"
+         "[--method gth|gmres|bicgstab]\n"
          "             [--precond none|jacobi|ilu0]"
          " [--sparse-threshold N]\n"
          "  rascal_cli lint   MODEL.rasc [--set NAME=VALUE ...] [--json]"
@@ -153,7 +154,7 @@ int usage() {
          "    --stats        print the telemetry summary to stderr\n"
          "    --deadline SECS       cooperative wall-clock budget;"
          " drains and exits 4\n"
-         "    --max-iter-budget N   cap iterative-solver iterations"
+         "    --max-iter-budget N   cap Krylov-solver iterations"
          " per solve\n"
          "\n"
          "  resilience flags (uncertainty, campaign, batch, serve):\n"
@@ -433,9 +434,9 @@ void print_metrics(const core::AvailabilityMetrics& m) {
 }
 
 // SolveControl for the interactive solve paths: iteration budget from
-// --max-iter-budget, the process cancel token, and GTH escalation so a
-// nonconverging iterative method still yields a trustworthy pi (with a
-// stderr warning) instead of dying.
+// --max-iter-budget, the process cancel token, and the GTH fallback so
+// a nonconverging GMRES or BiCGStab solve still yields a trustworthy pi
+// (with a stderr warning) instead of dying.
 ctmc::SolveControl interactive_solve_control(const Arguments& args) {
   ctmc::SolveControl control;
   control.max_iterations = args.max_iter_budget;
@@ -697,6 +698,29 @@ int open_checkpoint(const Arguments& args, const char* kind,
   return kExitOk;
 }
 
+// The library digest (seed, sample count, --lhs, ranges) plus every
+// other input that changes a sample's value: the model file's bytes,
+// the base parameters after --set, --metric and the solve flags.  The
+// thread count and --deadline change no value and stay out.
+std::uint64_t uncertainty_digest(const Arguments& args,
+                                 const analysis::UncertaintyOptions& options,
+                                 const expr::ParameterSet& base) {
+  std::ifstream in(args.model_path, std::ios::binary);
+  const std::string model_bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  resil::DigestBuilder digest;
+  digest.add_u64(analysis::uncertainty_checkpoint_digest(options, args.ranges))
+      .add_str(model_bytes)
+      .add_u64(base.size());
+  for (const auto& [name, value] : base) digest.add_str(name).add_f64(value);
+  digest.add_str(serve::to_string(args.metric))
+      .add_str(ctmc::to_string(args.method))
+      .add_str(linalg::precond_name(args.precond))
+      .add_u64(args.sparse_threshold)
+      .add_u64(args.max_iter_budget);
+  return digest.value();
+}
+
 void print_partial_marker(const char* what, const std::string& reason,
                           std::size_t done, std::size_t total) {
   std::printf("*** PARTIAL RESULTS: interrupted (%s) after %zu/%zu %s ***\n",
@@ -739,8 +763,7 @@ int run_uncertainty(const Arguments& args) {
 
   std::optional<resil::Checkpointer> checkpoint;
   const int checkpoint_error = open_checkpoint(
-      args, "uncertainty",
-      analysis::uncertainty_checkpoint_digest(options, args.ranges),
+      args, "uncertainty", uncertainty_digest(args, options, base),
       options.samples, checkpoint);
   if (checkpoint_error != kExitOk) return checkpoint_error;
   if (checkpoint) options.control.checkpoint = &*checkpoint;
