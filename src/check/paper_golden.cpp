@@ -131,7 +131,6 @@ GoldenRecord kofn_as_golden() {
   GoldenRecord record;
   ctmc::SolveControl control;
   control.sparse_threshold = 8;  // every config below exceeds this
-  control.escalate = false;
   for (const auto& [quorum, label] :
        {std::pair<std::size_t, const char*>{4, "quorum4"},
         std::pair<std::size_t, const char*>{6, "quorum6"}}) {

@@ -98,6 +98,8 @@ class SymbolicCtmc {
   /// by hash lookup.
   [[nodiscard]] std::optional<StateId> find_state(
       const std::string& name) const;
+  /// As find_state but throws std::invalid_argument when absent.
+  [[nodiscard]] StateId id_of(const std::string& name) const;
 
   /// Union of variables over all rate expressions.
   [[nodiscard]] std::set<std::string> parameters() const;
@@ -133,7 +135,6 @@ class SymbolicCtmc {
   using CompileOncePtr = std::unique_ptr<CompileOnce, void (*)(CompileOnce*)>;
   [[nodiscard]] static CompileOncePtr fresh_compiled();
 
-  [[nodiscard]] StateId id_of(const std::string& name) const;
   [[nodiscard]] const Compiled& compiled() const;
   // Called by state() and rate(): the next bind compiles again.
   void changed();

@@ -39,7 +39,6 @@ std::uint64_t steady_state_key(const Ctmc& chain, SteadyStateMethod method,
   key_builder.add_u64(static_cast<std::uint64_t>(method));
   key_builder.add_u64(validation == Validation::kOn ? 1 : 0);
   key_builder.add_u64(control.max_iterations);
-  key_builder.add_u64(control.escalate ? 1 : 0);
   key_builder.add_u64(control.sparse_threshold);
   key_builder.add_u64(static_cast<std::uint64_t>(control.precond));
   key_builder.add_u64(control.gmres_restart);

@@ -44,9 +44,10 @@ namespace rascal::ctmc {
 
 /// Exact key of a steady-state solve: the generator digest plus every
 /// SolveControl field that can change the computed bits (method,
-/// validation, max_iterations, escalate, sparse_threshold, precond,
-/// gmres_restart).  The cancellation token and workspace pointer are
-/// excluded: they never change the solution.  Two solves with equal
+/// validation, max_iterations, sparse_threshold, precond,
+/// gmres_restart).  The cancellation token, the workspace pointer and
+/// the unread `escalate` flag are excluded: they never change the
+/// solution.  Two solves with equal
 /// keys are bit-identical; the property suite asserts every field
 /// (and every transition rate) discriminates.
 [[nodiscard]] std::uint64_t steady_state_key(const Ctmc& chain,

@@ -1,5 +1,6 @@
 #include "ctmc/steady_state.h"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -57,8 +58,8 @@ obs::Counter& solves_of(SteadyStateMethod method) {
   return bicgstab;
 }
 
-// GTH reports no iterations and never escalates, so the two counters
-// below exist for the Krylov methods only.
+// GTH reports no iterations, so this counter exists for the Krylov
+// methods only.
 obs::Counter& iterations_of(SteadyStateMethod krylov) {
   if (krylov == SteadyStateMethod::kGmres) {
     static obs::Counter& gmres =
@@ -67,17 +68,6 @@ obs::Counter& iterations_of(SteadyStateMethod krylov) {
   }
   static obs::Counter& bicgstab =
       obs::counter("ctmc.solver.iterations.bicgstab");
-  return bicgstab;
-}
-
-obs::Counter& escalations_of(SteadyStateMethod krylov) {
-  if (krylov == SteadyStateMethod::kGmres) {
-    static obs::Counter& gmres =
-        obs::counter("ctmc.solver.escalated.gmres_to_gth");
-    return gmres;
-  }
-  static obs::Counter& bicgstab =
-      obs::counter("ctmc.solver.escalated.bicgstab_to_gth");
   return bicgstab;
 }
 
@@ -139,13 +129,14 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
     throw_if_errors(validate_for_steady_state(chain));
   }
 
-  linalg::SolveWorkspace local_ws;
+  // Build a workspace only when the caller lends none: building allocates.
+  std::optional<linalg::SolveWorkspace> local_ws;
   linalg::SolveWorkspace* ws =
-      control.workspace != nullptr ? control.workspace : &local_ws;
+      control.workspace != nullptr ? control.workspace : &local_ws.emplace();
 
   // Dense/sparse boundary: above the threshold a GTH request is
   // re-routed to the sparse GMRES path, never materializing the n x n
-  // Matrix, and escalation refuses to densify.
+  // Matrix.
   const std::size_t sparse_threshold = control.sparse_threshold > 0
                                            ? control.sparse_threshold
                                            : kDefaultSparseThreshold;
@@ -160,17 +151,13 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
     }
   }
 
-  const auto solve_gth = [&chain, ws](linalg::Vector& pi) {
-    linalg::Matrix& q = ws->dense_storage();
-    chain.write_generator(q);
-    linalg::gth_stationary_in(q, pi);
-  };
-
   SteadyState result;
   result.method = method;
   result.effective_method = effective;
   if (effective == SteadyStateMethod::kGth) {
-    solve_gth(result.probabilities);
+    linalg::Matrix& q = ws->dense_storage();
+    chain.write_generator(q);
+    linalg::gth_stationary_in(q, result.probabilities);
   } else {
     linalg::KrylovOptions kopts;
     if (control.max_iterations > 0) {
@@ -181,8 +168,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
     kopts.cancel = control.cancel;
     kopts.workspace = ws;
 
-    linalg::KrylovResult kr;
-    bool precond_rejected = false;
+    linalg::KrylovResult kr;  // unconverged, 0 iterations if rejected
     std::string failure_note;
     try {
       kr = effective == SteadyStateMethod::kGmres
@@ -190,23 +176,19 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
                : linalg::bicgstab_stationary(chain.sparse_generator(), kopts);
     } catch (const linalg::PrecondError& e) {
       // A structurally unusable pattern (e.g. absorbing state with
-      // validation off) is handled like nonconvergence so the GTH
-      // fallback can still rescue the solve.
-      precond_rejected = true;
-      failure_note = e.what();
+      // validation off) fails like nonconvergence, so a supervisor can
+      // still answer it on another rung of its fallback ladder.
+      failure_note = e.what();  // never empty: "[P00x] ..."
     }
-    if (!precond_rejected && kr.cancelled) {
-      // Never escalate a cancelled solve: the caller asked to stop.
+    if (kr.cancelled) {
+      // Not a nonconvergence: the caller asked to stop.
       throw resil::CancelledError(
           std::string("solve_steady_state: ") + to_string(effective) +
           " solve cancelled after " + std::to_string(kr.iterations) +
           " iterations");
     }
-    if (!precond_rejected && kr.converged) {
-      result.probabilities = std::move(kr.x);
-      result.iterations = kr.iterations;
-    } else {
-      if (!precond_rejected) {
+    if (!kr.converged) {
+      if (failure_note.empty()) {
         failure_note = std::string(kr.breakdown ? "broke down"
                                                 : "did not converge") +
                        " within " + std::to_string(kr.iterations) +
@@ -217,28 +199,16 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
         static obs::Counter& nonconverged =
             obs::counter("ctmc.solver.nonconverged");
         nonconverged.add(1);
-        iterations_of(effective).add(precond_rejected ? 0 : kr.iterations);
+        iterations_of(effective).add(kr.iterations);
       }
-      const std::string message = std::string("solve_steady_state: ") +
-                                  to_string(effective) + " " + failure_note;
-      if (!control.escalate) throw NonConvergenceError(message);
-      if (chain.num_states() > sparse_threshold) {
-        throw NonConvergenceError(
-            message + "; " + std::to_string(chain.num_states()) +
-            " states exceed the sparse threshold (" +
-            std::to_string(sparse_threshold) +
-            "), so dense GTH escalation is unavailable");
-      }
-      if (obs::enabled()) {
-        static obs::Counter& escalated = obs::counter("ctmc.solver.escalated");
-        escalated.add(1);
-        escalations_of(effective).add(1);
-      }
-      solve_gth(result.probabilities);
-      result.escalated = true;
+      throw NonConvergenceError(std::string("solve_steady_state: ") +
+                                to_string(effective) + " " + failure_note);
     }
+    result.probabilities = std::move(kr.x);
+    result.iterations = kr.iterations;
   }
-  result.residual = residual_inf(chain, result.probabilities, ws->vec(1, 0));
+  result.residual =
+      residual_inf(chain, result.probabilities, ws->sparse_vec(0, 0));
   record_solve_telemetry(effective, result);
   return result;
 }

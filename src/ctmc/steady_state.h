@@ -35,17 +35,16 @@ enum class SteadyStateMethod {
                                 SteadyStateMethod& out) noexcept;
 
 /// Chains with more states than this never materialize a dense n x n
-/// Matrix: a GTH request re-routes to the sparse GMRES path, and a
-/// failed Krylov solve escalates to dense GTH only below it.
+/// Matrix: a GTH request re-routes to the sparse GMRES path, and the
+/// serve fallback ladder descends to dense GTH only below it.
 /// 2048 states is the point where the dense image (33 MB) and the
 /// O(n^3) elimination stop being a sensible per-sample cost.
 inline constexpr std::size_t kDefaultSparseThreshold = 2048;
 
 /// An iterative solve exhausted its iteration budget without meeting
 /// tolerance, or a Krylov solve broke down or had its preconditioner
-/// reject the pattern (and escalation was disabled or unavailable).
-/// Retryable: a supervisor can escalate the budget or descend the
-/// fallback ladder (resil/retry.h).
+/// reject the pattern.  Retryable: a supervisor can escalate the budget
+/// or descend the fallback ladder (resil/retry.h, serve/supervise.h).
 class NonConvergenceError : public std::runtime_error,
                             public resil::ErrorClassTag {
  public:
@@ -55,7 +54,7 @@ class NonConvergenceError : public std::runtime_error,
   }
 };
 
-/// Per-solve resource budget and escalation policy.
+/// Per-solve resource budget.
 struct SolveControl {
   /// Caps the iteration count of the Krylov methods (0 = library
   /// default).  Replaces unbounded loops for batch runs.
@@ -65,18 +64,15 @@ struct SolveControl {
   /// token and raises resil::CancelledError when it fires.
   const resil::CancellationToken* cancel = nullptr;
 
-  /// Krylov-to-GTH fallback: a GMRES or BiCGStab solve that fails to
-  /// converge (or whose preconditioner rejects the pattern) falls back
-  /// to dense GTH when the state count fits under `sparse_threshold`,
-  /// and raises NonConvergenceError when the chain is too large for a
-  /// dense solve.  The result records `escalated = true` and keeps the
-  /// requested method for reporting.  GTH itself never escalates.
+  /// Read by nothing: a failed Krylov solve always throws, and the
+  /// serve fallback ladder is the only fallback.  Kept only because the
+  /// benchmark harness (e2ebench/workloads.cpp) still writes it.
   bool escalate = false;
 
   /// Dense/sparse boundary (0 = kDefaultSparseThreshold): above this
   /// many states a kGth request is re-routed to the sparse GMRES path
-  /// instead of building a dense Matrix, and escalation refuses to
-  /// densify.  The result records the re-route in `effective_method`.
+  /// instead of building a dense Matrix.  The result records the
+  /// re-route in `effective_method`.
   std::size_t sparse_threshold = 0;
 
   /// Preconditioner for the Krylov methods (kGmres/kBiCgStab).
@@ -101,7 +97,6 @@ struct SteadyState {
   SteadyStateMethod effective_method = SteadyStateMethod::kGth;
   std::size_t iterations = 0;  // 0 for GTH
   double residual = 0.0;       // ||pi Q||_inf
-  bool escalated = false;      // fell back to GTH (see SolveControl)
 
   [[nodiscard]] double probability(StateId id) const {
     return probabilities.at(id);
@@ -121,9 +116,9 @@ struct SteadyState {
 /// to converge.
 /// GTH runs for kGth at or below the sparse threshold; GMRES or
 /// BiCGStab runs for kGmres/kBiCgStab and for a kGth request above
-/// it.  Krylov nonconvergence raises NonConvergenceError (or falls
-/// back to GTH when control.escalate is set); a cancelled solve raises
-/// resil::CancelledError and never escalates.
+/// it.  A Krylov solve that does not converge, breaks down or has its
+/// preconditioner reject the pattern raises NonConvergenceError; a
+/// cancelled one raises resil::CancelledError.
 [[nodiscard]] SteadyState solve_steady_state(
     const Ctmc& chain, SteadyStateMethod method = SteadyStateMethod::kGth,
     Validation validation = Validation::kOn,

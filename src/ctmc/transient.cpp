@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "ctmc/validate.h"
@@ -84,13 +85,13 @@ TransientResult transient_distribution(const Ctmc& chain,
   const double lt = lambda * t;
   const linalg::CsrMatrix q = chain.sparse_generator();
 
-  linalg::SolveWorkspace local_ws;
+  std::optional<linalg::SolveWorkspace> local_ws;
   linalg::SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws;
-  linalg::Vector& v = ws->vec(0, chain.num_states());  // pi(0) P^k
+      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
+  linalg::Vector& v = ws->sparse_vec(0, chain.num_states());  // pi(0) P^k
   std::copy(initial.begin(), initial.end(), v.begin());
-  linalg::Vector& vq = ws->vec(1, 0);
-  linalg::Vector& next = ws->vec(2, 0);
+  linalg::Vector& vq = ws->sparse_vec(1, 0);
+  linalg::Vector& next = ws->sparse_vec(2, 0);
   linalg::Vector acc(chain.num_states(), 0.0);  // weighted sum (the result)
   double log_w = -lt;                           // log Poisson pmf at k
   double accumulated_weight = 0.0;
@@ -188,13 +189,13 @@ std::vector<IntervalRewardResult> expected_interval_rewards(
   // W_k is the Poisson CDF at k.  We accumulate the reward-weighted
   // version directly, one running integral per reward set over a
   // single shared walk (the Poisson terms do not depend on rewards).
-  linalg::SolveWorkspace local_ws;
+  std::optional<linalg::SolveWorkspace> local_ws;
   linalg::SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws;
-  linalg::Vector& v = ws->vec(0, n);
+      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
+  linalg::Vector& v = ws->sparse_vec(0, n);
   std::copy(initial.begin(), initial.end(), v.begin());
-  linalg::Vector& vq = ws->vec(1, 0);
-  linalg::Vector& next = ws->vec(2, 0);
+  linalg::Vector& vq = ws->sparse_vec(1, 0);
+  linalg::Vector& next = ws->sparse_vec(2, 0);
   std::vector<double> integrals(reward_sets.size(), 0.0);
   double log_w = -lt;
   double cdf = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -14,7 +15,7 @@ namespace {
 // Chaos hook `solver-nonconverge@K`: Krylov methods converge on small
 // systems even under a harsh iteration cap, so the hook zeroes the
 // budget of the K-th Krylov solve outright — the solve gives up
-// immediately and the GTH fallback runs.
+// immediately and the serve fallback ladder takes over.
 std::size_t chaos_capped_budget(std::size_t max_iterations) {
   if (resil::chaos::enabled() && resil::chaos::tick("solver-nonconverge")) {
     return 0;
@@ -48,9 +49,9 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
   require_system(a, b, "gmres");
   const std::size_t n = b.size();
 
-  SolveWorkspace local_ws;
+  std::optional<SolveWorkspace> local_ws;
   SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws;
+      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
 
   KrylovResult result;
   const auto precond = make_preconditioner(options.precond, a);
@@ -211,9 +212,9 @@ KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
   require_system(a, b, "bicgstab");
   const std::size_t n = b.size();
 
-  SolveWorkspace local_ws;
+  std::optional<SolveWorkspace> local_ws;
   SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws;
+      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
 
   KrylovResult result;
   const auto precond = make_preconditioner(options.precond, a);

@@ -28,20 +28,13 @@ class SolveWorkspace {
   /// Ctmc::write_generator).
   [[nodiscard]] Matrix& dense_storage() noexcept { return dense_; }
 
-  /// Vector scratch slot `slot` resized to n and zero-filled.  Slots
-  /// are independent buffers; callers that need several concurrent
-  /// temporaries use distinct slots.
-  [[nodiscard]] Vector& vec(std::size_t slot, std::size_t n);
-
-  static constexpr std::size_t kVectorSlots = 4;
-
-  /// Sparse-path vector scratch: an open-ended pool of independent
-  /// slots (Krylov temporaries, preconditioner scratch), each resized
-  /// to n and zero-filled on acquisition.  Kept separate from vec()
-  /// so the dense and sparse paths never fight over the same slots
-  /// when an escalation runs both in one solve.  The pool is a deque,
-  /// so acquiring a new slot never invalidates references to slots
-  /// handed out earlier in the same solve.
+  /// Vector scratch: an open-ended pool of independent slots (Krylov
+  /// temporaries, preconditioner scratch, the residual, uniformization
+  /// iterates), each resized to n and zero-filled on acquisition.
+  /// Callers that need several concurrent temporaries use distinct
+  /// slots.  The pool is a deque, so acquiring a new slot never
+  /// invalidates references to slots handed out earlier in the same
+  /// solve.
   [[nodiscard]] Vector& sparse_vec(std::size_t slot, std::size_t n);
 
   /// Krylov basis scratch: `count` vectors each resized to n and
@@ -52,7 +45,6 @@ class SolveWorkspace {
 
  private:
   Matrix dense_;
-  Vector vectors_[kVectorSlots];
   std::deque<Vector> sparse_vectors_;
   std::vector<Vector> basis_;
 };

@@ -130,12 +130,13 @@ JsasResult solve_jsas(const JsasConfig& config,
   result.mtbf_hours = hr.system.mtbf_hours;
 
   // Attribute downtime to the submodel whose failure state the root
-  // chain is occupying.
-  const ctmc::Ctmc root = cached_jsas_root().bind(hr.effective_params);
+  // chain is occupying.  A bound chain keeps its symbolic model's state
+  // ids, so the root's ids need no second bind.
+  const ctmc::SymbolicCtmc& root = cached_jsas_root();
   result.downtime_as_minutes = core::downtime_minutes_per_year(
-      hr.root_steady.probability(root.state("AS_Fail")));
+      hr.root_steady.probability(root.id_of("AS_Fail")));
   result.downtime_hadb_minutes = core::downtime_minutes_per_year(
-      hr.root_steady.probability(root.state("HADB_Fail")));
+      hr.root_steady.probability(root.id_of("HADB_Fail")));
 
   result.detail = std::move(hr);
   return result;

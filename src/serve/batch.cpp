@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/metrics.h"
 #include "core/thread_pool.h"
 #include "io/model_file.h"
 #include "obs/obs.h"
@@ -17,35 +16,6 @@
 namespace rascal::serve {
 
 namespace {
-
-struct SolveOutcome {
-  std::vector<double> values;
-  std::string fallback;  // annotation when a lower rung answered
-};
-
-SolveOutcome solve_request(const Request& request, const io::ModelFile& file,
-                           ctmc::SolveCache& cache,
-                           const SupervisionOptions& supervision,
-                           const resil::CancellationToken* cancel) {
-  const ctmc::Ctmc chain = file.bind(request.overrides);
-  SolveSpec spec;
-  spec.method = request.method;
-  spec.precond = request.precond;
-  spec.sparse_threshold = request.sparse_threshold;
-  spec.max_iterations = request.max_iterations;
-  spec.gmres_restart = request.gmres_restart;
-  const SupervisedSolve solved =
-      supervised_solve(chain, spec, cache, supervision, cancel);
-  const core::AvailabilityMetrics metrics =
-      core::availability_metrics(chain, solved.steady);
-  SolveOutcome out;
-  out.fallback = solved.fallback;
-  out.values.reserve(request.outputs.size());
-  for (const OutputKind kind : request.outputs) {
-    out.values.push_back(metric_value(kind, metrics));
-  }
-  return out;
-}
 
 // Request completion states tracked by the runner.  Every request
 // must leave kPending exactly once (or stay pending only when the run
@@ -264,14 +234,23 @@ BatchResult run_batch(const std::vector<std::string>& lines,
           try {
             resil::chaos::worker_hook(i);
             const obs::Span request_span("serve.batch.request");
-            SolveOutcome outcome =
-                solve_request(request, models.at(request.model_path), local,
-                              supervision, cancel);
-            values[i] = std::move(outcome.values);
+            const Evaluation evaluation = evaluate(
+                models.at(request.model_path), request.overrides,
+                {.method = request.method,
+                 .precond = request.precond,
+                 .sparse_threshold = request.sparse_threshold,
+                 .max_iterations = request.max_iterations,
+                 .gmres_restart = request.gmres_restart},
+                local, supervision, cancel);
+            values[i].reserve(request.outputs.size());
+            for (const OutputKind kind : request.outputs) {
+              values[i].push_back(metric_value(kind, evaluation.metrics));
+            }
+            const std::string& fallback = evaluation.solved.fallback;
             status[i] = kOk;
             if (checkpoint != nullptr) {
               resil::CheckpointEntry entry{i, resil::EntryStatus::kOk, {},
-                                           outcome.fallback};
+                                           fallback};
               entry.words.reserve(values[i].size());
               for (const double v : values[i]) {
                 entry.words.push_back(resil::f64_bits(v));
@@ -279,7 +258,7 @@ BatchResult run_batch(const std::vector<std::string>& lines,
               checkpoint->record(std::move(entry));
             }
             sink.push(i, render_result_line(i, request, values[i],
-                                            outcome.fallback));
+                                            fallback));
           } catch (const resil::CancelledError&) {
             break;  // interrupted mid-solve: leave the index pending
           } catch (const std::exception& failure) {

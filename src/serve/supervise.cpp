@@ -39,9 +39,9 @@ std::vector<LadderRung> fallback_ladder(ctmc::SteadyStateMethod method,
   std::vector<LadderRung> rungs;
   rungs.push_back({method, precond});
   if (num_states <= threshold) {
-    // Dense regime: substitute methods, ending at GTH — the same
-    // exact, cannot-nonconverge terminal the ctmc Krylov-to-GTH
-    // fallback uses.  Krylov rungs keep the requested preconditioner.
+    // Dense regime: substitute methods, ending at GTH, which is exact
+    // and cannot fail to converge.  Krylov rungs keep the requested
+    // preconditioner.
     const ctmc::SteadyStateMethod chain[] = {
         ctmc::SteadyStateMethod::kGmres, ctmc::SteadyStateMethod::kBiCgStab,
         ctmc::SteadyStateMethod::kGth};
@@ -155,6 +155,17 @@ SupervisedSolve supervised_solve(const ctmc::Ctmc& chain,
       throw;
     }
   }
+}
+
+Evaluation evaluate(const io::ModelFile& file,
+                    const expr::ParameterSet& overrides, const SolveSpec& spec,
+                    ctmc::SolveCache& cache,
+                    const SupervisionOptions& supervision,
+                    const resil::CancellationToken* cancel) {
+  Evaluation out{file.bind(overrides), {}, {}};
+  out.solved = supervised_solve(out.chain, spec, cache, supervision, cancel);
+  out.metrics = core::availability_metrics(out.chain, out.solved.steady);
+  return out;
 }
 
 std::string admission_verdict(const io::ModelFile& file,

@@ -1,4 +1,7 @@
-// Per-request fault domain for the batch/serve engine.
+// Per-request fault domain, and the one evaluation path of `rascal_cli
+// solve`, `states`, `sweep` and `batch`/`serve`: evaluate() binds a model
+// file and solves it under supervised_solve, so one request gets the
+// same bits, or the same failure class, from each of them.
 //
 // A supervised request runs inside three nested guards:
 //
@@ -18,14 +21,14 @@
 //      trajectory is bit-identical regardless of its cap, so a
 //      recovered retry equals the fault-free run byte for byte).
 //
-//   3. The fallback ladder — when a rung keeps failing, the request
-//      descends: below the sparse threshold gmres -> bicgstab -> gth
-//      (GTH is exact and terminal, the same escalation target the
-//      ctmc layer uses); above it the preconditioner downgrades
-//      ilu0 -> jacobi -> none and finally switches Krylov method,
-//      because densifying a 10^6-state generator is never an option.
-//      A result recovered on a lower rung carries a "fallback"
-//      annotation in its record — degraded answers are never silent.
+//   3. The fallback ladder, the only fallback the solvers have — when
+//      a rung keeps failing, the request descends: below the sparse
+//      threshold gmres -> bicgstab -> gth (GTH is exact and terminal);
+//      above it the preconditioner downgrades ilu0 -> jacobi -> none
+//      and finally switches Krylov method, because densifying a
+//      10^6-state generator is never an option.  A result recovered on
+//      a lower rung carries a "fallback" annotation in its record, and
+//      the CLI warns on stderr — degraded answers are never silent.
 //
 // Everything here is wall-clock-free and RNG-free: the attempt
 // schedule of a request is a pure function of the request and the
@@ -37,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.h"
 #include "ctmc/solve_cache.h"
 #include "ctmc/steady_state.h"
 #include "io/model_file.h"
@@ -114,6 +118,21 @@ struct SupervisedSolve {
 [[nodiscard]] SupervisedSolve supervised_solve(
     const ctmc::Ctmc& chain, const SolveSpec& spec, ctmc::SolveCache& cache,
     const SupervisionOptions& options,
+    const resil::CancellationToken* cancel = nullptr);
+
+/// One request evaluated end to end.
+struct Evaluation {
+  ctmc::Ctmc chain;                   // the model bound at the overrides
+  SupervisedSolve solved;             // the rung that answered, and how
+  core::AvailabilityMetrics metrics;  // of `chain` under solved.steady
+};
+
+/// Binds `file` at `overrides` (ModelFile::bind: an undeclared name
+/// throws), solves it with supervised_solve and computes its metrics.
+[[nodiscard]] Evaluation evaluate(
+    const io::ModelFile& file, const expr::ParameterSet& overrides,
+    const SolveSpec& spec, ctmc::SolveCache& cache,
+    const SupervisionOptions& supervision,
     const resil::CancellationToken* cancel = nullptr);
 
 /// Admission verdict for a parsed model: empty string admits, a

@@ -60,10 +60,6 @@ TEST(SolveCacheKey, EverySolveControlFieldDiscriminates) {
   expect_new_key("max_iterations", changed);
 
   changed = {};
-  changed.escalate = true;
-  expect_new_key("escalate", changed);
-
-  changed = {};
   changed.sparse_threshold = 64;
   expect_new_key("sparse_threshold", changed);
 

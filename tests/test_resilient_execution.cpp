@@ -6,8 +6,9 @@
 //     thread count;
 //   * a sample whose solve fails under chaos is recorded with its
 //     parameter draw and skipped, never fatal;
-//   * a Krylov solve forced not to converge falls back to GTH, and a
-//     cancelled one is never masked as nonconvergence.
+//   * a Krylov solve forced not to converge throws, the fallback
+//     ladder answers it without densifying above the sparse threshold,
+//     and a cancelled solve is never masked as nonconvergence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 
 #include "analysis/uncertainty.h"
 #include "ctmc/builder.h"
+#include "ctmc/solve_cache.h"
 #include "ctmc/steady_state.h"
 #include "faultinj/injector.h"
 #include "models/jsas_system.h"
@@ -26,6 +28,7 @@
 #include "obs/obs.h"
 #include "resil/chaos.h"
 #include "resil/resil.h"
+#include "serve/supervise.h"
 #include "sim/jsas_simulator.h"
 
 namespace rascal {
@@ -323,7 +326,7 @@ TEST(ResilientSimulation, RecordedFailureIsReplayedNotRecomputed) {
   std::remove(path.c_str());
 }
 
-// --- Solver escalation ---------------------------------------------------
+// --- Solver nonconvergence ----------------------------------------------
 
 ctmc::Ctmc availability_chain() {
   ctmc::CtmcBuilder b;
@@ -339,89 +342,65 @@ TEST(SolverEscalation, NonConvergenceWithoutEscalationThrows) {
   ctmc::SolveControl control;
   control.max_iterations = 1;
   control.precond = linalg::PrecondKind::kNone;
-  control.escalate = false;
+  obs::set_enabled(true);
+  obs::reset();
   try {
     (void)ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGmres,
                                    ctmc::Validation::kOn, control);
-    FAIL() << "expected NonConvergenceError";
+    ADD_FAILURE() << "expected NonConvergenceError";
   } catch (const ctmc::NonConvergenceError& e) {
+    // Failed-request records and dropped-sample lines quote this text.
     const std::string what = e.what();
-    EXPECT_NE(what.find("did not converge"), std::string::npos) << what;
-    EXPECT_NE(what.find("gmres"), std::string::npos) << what;
+    EXPECT_EQ(what.rfind("solve_steady_state: gmres did not converge within ",
+                         0),
+              0u)
+        << what;
   }
-}
-
-TEST(SolverEscalation, UnforcedSolveDoesNotEscalate) {
-  ctmc::SolveControl control;
-  control.escalate = true;
-  const ctmc::SteadyState s = ctmc::solve_steady_state(
-      availability_chain(), ctmc::SteadyStateMethod::kGmres,
-      ctmc::Validation::kOn, control);
-  EXPECT_FALSE(s.escalated);
-  EXPECT_LT(s.residual, 1e-8);
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::counter("ctmc.solver.nonconverged").value(), 1u);
 }
 
 // --- Sparse Krylov path ---------------------------------------------------
 
-TEST(SparseSolverEscalation, ForcedKrylovNonConvergenceEscalatesToGth) {
-  ChaosGuard guard;
-  const ctmc::Ctmc chain = availability_chain();
-  const ctmc::SteadyState reference =
-      ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGth);
-
-  obs::set_enabled(true);
-  obs::reset();
-  resil::chaos::configure("solver-nonconverge@0");
-  ctmc::SolveControl control;
-  control.escalate = true;
-  const ctmc::SteadyState rescued = ctmc::solve_steady_state(
-      chain, ctmc::SteadyStateMethod::kGmres, ctmc::Validation::kOn, control);
-  obs::set_enabled(false);
-
-  EXPECT_TRUE(rescued.escalated);
-  EXPECT_EQ(rescued.effective_method, ctmc::SteadyStateMethod::kGmres);
-  ASSERT_EQ(rescued.probabilities.size(), reference.probabilities.size());
-  for (std::size_t i = 0; i < reference.probabilities.size(); ++i) {
-    EXPECT_EQ(rescued.probabilities[i], reference.probabilities[i]) << i;
-  }
-  EXPECT_EQ(obs::counter("ctmc.solver.escalated.gmres_to_gth").value(), 1u);
-  EXPECT_EQ(obs::counter("ctmc.solver.nonconverged").value(), 1u);
-}
-
 TEST(SparseSolverEscalation, RefusesToDensifyAboveTheSparseThreshold) {
-  // The explicit dense/sparse boundary: with the threshold below the
-  // state count, a nonconverging Krylov solve may NOT escalate into a
-  // dense GTH (that would materialize the n x n matrix the caller
-  // asked to avoid) — it must throw instead.
+  // The explicit dense/sparse boundary, held by the one fallback
+  // ladder: with the threshold below the state count, a nonconverging
+  // Krylov solve may NOT descend into a dense GTH (that would
+  // materialize the n x n matrix the caller asked to avoid) — it
+  // downgrades the preconditioner instead.  Each answer equals a
+  // direct solve on the rung that produced it.
   ChaosGuard guard;
   const ctmc::Ctmc chain = availability_chain();
+  const auto expect_rung_bits = [&chain](const serve::SupervisedSolve& s,
+                                         std::size_t threshold) {
+    ctmc::SolveControl control;
+    control.sparse_threshold = threshold;
+    control.precond = s.final_rung.precond;
+    const ctmc::SteadyState direct = ctmc::solve_steady_state(
+        chain, s.final_rung.method, ctmc::Validation::kOn, control);
+    EXPECT_EQ(s.steady.probabilities, direct.probabilities);
+  };
+  serve::SolveSpec spec;
+  spec.method = ctmc::SteadyStateMethod::kGmres;
+  spec.sparse_threshold = 2;  // chain has 3 states
+  ctmc::SolveCache cache;
   resil::chaos::configure("solver-nonconverge@0");
-  ctmc::SolveControl control;
-  control.escalate = true;
-  control.sparse_threshold = 2;  // chain has 3 states
-  try {
-    (void)ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGmres,
-                                   ctmc::Validation::kOn, control);
-    FAIL() << "expected NonConvergenceError";
-  } catch (const ctmc::NonConvergenceError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("exceed the sparse threshold"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("gmres"), std::string::npos) << what;
-  }
+  const serve::SupervisedSolve sparse =
+      serve::supervised_solve(chain, spec, cache, {});
+  EXPECT_EQ(sparse.fallback, "precond:jacobi");
+  EXPECT_EQ(sparse.steady.effective_method, ctmc::SteadyStateMethod::kGmres);
+  resil::chaos::configure("");
+  expect_rung_bits(sparse, spec.sparse_threshold);
 
   // Same forced failure with the threshold at/above the state count:
-  // dense escalation is allowed again and must equal GTH exactly.
-  const ctmc::SteadyState reference =
-      ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGth);
+  // the ladder substitutes methods, and BiCGStab answers.
+  spec.sparse_threshold = chain.num_states();
   resil::chaos::configure("solver-nonconverge@0");
-  control.sparse_threshold = chain.num_states();
-  const ctmc::SteadyState rescued = ctmc::solve_steady_state(
-      chain, ctmc::SteadyStateMethod::kGmres, ctmc::Validation::kOn, control);
-  EXPECT_TRUE(rescued.escalated);
-  for (std::size_t i = 0; i < reference.probabilities.size(); ++i) {
-    EXPECT_EQ(rescued.probabilities[i], reference.probabilities[i]) << i;
-  }
+  const serve::SupervisedSolve dense =
+      serve::supervised_solve(chain, spec, cache, {});
+  EXPECT_EQ(dense.fallback, "bicgstab");
+  resil::chaos::configure("");
+  expect_rung_bits(dense, spec.sparse_threshold);
 }
 
 TEST(SparseSolverEscalation, DenseMethodsRerouteToGmresAboveTheThreshold) {
@@ -446,7 +425,6 @@ TEST(SparseSolverEscalation, DenseMethodsRerouteToGmresAboveTheThreshold) {
 
   EXPECT_EQ(rerouted.method, ctmc::SteadyStateMethod::kGth);
   EXPECT_EQ(rerouted.effective_method, ctmc::SteadyStateMethod::kGmres);
-  EXPECT_FALSE(rerouted.escalated);
   EXPECT_EQ(obs::counter("ctmc.solver.sparse_rerouted").value(), 1u);
   EXPECT_EQ(obs::counter("ctmc.solver.solves.gmres").value(), 1u);
   ASSERT_EQ(rerouted.probabilities.size(), reference.probabilities.size());
@@ -461,7 +439,6 @@ TEST(SparseSolverEscalation, CancelledKrylovSolveThrowsCancelled) {
   cancel.request_cancel();
   ctmc::SolveControl control;
   control.cancel = &cancel;
-  control.escalate = true;  // must NOT mask cancellation via GTH
   EXPECT_THROW(
       (void)ctmc::solve_steady_state(availability_chain(),
                                      ctmc::SteadyStateMethod::kGmres,
@@ -483,7 +460,6 @@ const analysis::ModelFunction kSparseKofnModel =
       const ctmc::Ctmc chain = models::kofn_as_model(config);
       ctmc::SolveControl control;
       control.sparse_threshold = 8;  // force the Krylov path
-      control.escalate = false;
       const auto steady = ctmc::solve_steady_state(
           chain, ctmc::SteadyStateMethod::kGmres, ctmc::Validation::kOn,
           control);

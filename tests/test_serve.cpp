@@ -1,17 +1,27 @@
 // Unit tests for the batch/serve layer: the strict JSONL request
 // parser (hostile input becomes a typed RequestError, never a crash
 // or silent default), the deterministic record rendering, the ordered
-// results sink, and the end-to-end batch runner including per-request
-// error records and cold/warm cache bit-identity.
+// results sink, the end-to-end batch runner including per-request
+// error records and cold/warm cache bit-identity, and the one
+// evaluation path that batch shares with the CLI's solving subcommands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/metrics.h"
+#include "ctmc/solve_cache.h"
+#include "io/model_file.h"
 #include "resil/chaos.h"
 #include "serve/batch.h"
 #include "serve/request.h"
@@ -476,6 +486,153 @@ TEST_F(ServeBatchTest, HostileCorpusEveryRequestAccountedFor) {
   std::size_t count = 0;
   while (std::getline(records, record)) ++count;
   EXPECT_EQ(count, lines.size());
+}
+
+// ---- one evaluation path ----------------------------------------------
+
+// solve, states, sweep and batch answer through evaluate(); uncertainty
+// solves each sample once through SolveCache::steady_state.  On one
+// request all of them must give the same bits.
+
+constexpr ctmc::SteadyStateMethod kMethods[] = {
+    ctmc::SteadyStateMethod::kGth, ctmc::SteadyStateMethod::kGmres,
+    ctmc::SteadyStateMethod::kBiCgStab};
+
+constexpr OutputKind kAllOutputs[] = {
+    OutputKind::kAvailability, OutputKind::kUnavailability,
+    OutputKind::kDowntime,     OutputKind::kMtbf,
+    OutputKind::kMttf,         OutputKind::kMttr,
+    OutputKind::kRewardRate,   OutputKind::kFailureFrequency};
+
+std::vector<std::string> example_models() {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(RASCAL_SOURCE_DIR) + "/examples/models")) {
+    if (entry.path().extension() == ".rasc") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+// A batch request for every output of `model` under `method`.
+std::string full_request(const std::string& model,
+                         ctmc::SteadyStateMethod method) {
+  std::string line = "{\"model\": \"" + model + "\", \"method\": \"" +
+                     ctmc::to_string(method) + "\", \"outputs\": [";
+  for (const OutputKind kind : kAllOutputs) {
+    if (kind != kAllOutputs[0]) line += ", ";
+    line += std::string("\"") + to_string(kind) + "\"";
+  }
+  return line + "]}";
+}
+
+// The record of a one-line batch run, and its values in output order.
+struct BatchRecord {
+  std::string line;
+  std::vector<double> values;
+};
+
+BatchRecord run_one(const std::string& request) {
+  std::ostringstream out;
+  BatchOptions options;
+  options.threads = 1;  // occurrence-keyed chaos sites stay in order
+  const BatchResult result = run_batch({request}, out, options);
+  EXPECT_EQ(result.succeeded, 1u) << out.str();
+  BatchRecord record{out.str(), {}};
+  for (const OutputKind kind : kAllOutputs) {
+    const std::string key = std::string("\"") + to_string(kind) + "\":";
+    const std::size_t at = record.line.find(key);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no " << key << " in " << record.line;
+      return record;
+    }
+    record.values.push_back(
+        std::strtod(record.line.c_str() + at + key.size(), nullptr));
+  }
+  return record;
+}
+
+void expect_same_bits(const core::AvailabilityMetrics& evaluated,
+                      const core::AvailabilityMetrics& direct,
+                      const BatchRecord& record, const std::string& what) {
+  ASSERT_EQ(record.values.size(), std::size(kAllOutputs)) << what;
+  for (std::size_t k = 0; k < std::size(kAllOutputs); ++k) {
+    const double value = metric_value(kAllOutputs[k], evaluated);
+    EXPECT_EQ(bits(value), bits(metric_value(kAllOutputs[k], direct)))
+        << what << ": " << to_string(kAllOutputs[k]);
+    EXPECT_EQ(bits(value), bits(record.values[k]))
+        << what << ": " << to_string(kAllOutputs[k]);
+  }
+}
+
+struct ChaosReset {
+  ~ChaosReset() { resil::chaos::configure(""); }
+};
+
+TEST(EvaluateConsensus, EveryExampleModelAndMethodGivesTheSameBits) {
+  const std::vector<std::string> models = example_models();
+  ASSERT_FALSE(models.empty());
+  for (const std::string& path : models) {
+    const io::ModelFile file = io::load_model(path);
+    for (const ctmc::SteadyStateMethod method : kMethods) {
+      const std::string what = path + " " + ctmc::to_string(method);
+      SolveSpec spec;
+      spec.method = method;
+      ctmc::SolveCache cache;
+      const Evaluation evaluation = evaluate(file, {}, spec, cache, {});
+      EXPECT_EQ(evaluation.solved.fallback, "") << what;
+      EXPECT_EQ(evaluation.solved.attempts, 1u) << what;
+
+      // The uncertainty path: one sample's bind and cached solve.
+      ctmc::SolveCache sample_cache;
+      const ctmc::Ctmc chain = file.model.bind(file.parameters_with({}));
+      const core::AvailabilityMetrics direct = core::availability_metrics(
+          chain, sample_cache.steady_state(chain, method));
+
+      expect_same_bits(evaluation.metrics, direct,
+                       run_one(full_request(path, method)), what);
+    }
+  }
+}
+
+TEST(EvaluateConsensus, ForcedKrylovNonConvergenceFallsBackToBicgstab) {
+  // The one fallback policy: a GMRES solve forced not to converge is
+  // answered by the ladder's next rung, BiCGStab, through evaluate and
+  // through run_batch alike, with the bits of a direct BiCGStab solve.
+  const ChaosReset reset;
+  for (const std::string& path : example_models()) {
+    const io::ModelFile file = io::load_model(path);
+    SolveSpec spec;
+    spec.method = ctmc::SteadyStateMethod::kGmres;
+    ctmc::SolveCache cache;
+    resil::chaos::configure("solver-nonconverge@0");
+    const Evaluation evaluation = evaluate(file, {}, spec, cache, {});
+    EXPECT_EQ(evaluation.solved.fallback, "bicgstab") << path;
+    EXPECT_EQ(evaluation.solved.final_rung.method,
+              ctmc::SteadyStateMethod::kBiCgStab)
+        << path;
+
+    resil::chaos::configure("solver-nonconverge@0");
+    const BatchRecord record = run_one(full_request(path, spec.method));
+    EXPECT_NE(record.line.find("\"fallback\":\"bicgstab\""),
+              std::string::npos)
+        << record.line;
+
+    resil::chaos::configure("");
+    const ctmc::Ctmc chain = file.bind();
+    const core::AvailabilityMetrics direct = core::availability_metrics(
+        chain,
+        ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kBiCgStab));
+    expect_same_bits(evaluation.metrics, direct, record, path);
+  }
 }
 
 TEST(ServeReadLines, KeepsBlankLinesAndStripsCr) {

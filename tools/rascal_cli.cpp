@@ -38,9 +38,12 @@
 // exceeded; 128+N interrupted by signal N after checkpointing (130
 // SIGINT, 143 SIGTERM).
 //
-// Methods: gth (default), gmres, bicgstab.
+// Methods: gth (default), gmres, bicgstab.  solve, states, sweep and
+// batch/serve answer through serve::evaluate and its one fallback
+// ladder; a lower rung's answer is announced on stderr or in a record.
 // Outputs (--metric): availability (default), unavailability,
 // downtime, mtbf, mttf, mttr, reward_rate, failure_frequency.
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -71,6 +74,7 @@
 #include "resil/resil.h"
 #include "serve/batch.h"
 #include "serve/request.h"
+#include "serve/supervise.h"
 
 namespace {
 
@@ -156,6 +160,10 @@ int usage() {
          " drains and exits 4\n"
          "    --max-iter-budget N   cap Krylov-solver iterations"
          " per solve\n"
+         "    --max-attempts N      attempts per solve in solve, states,"
+         " sweep, batch, serve\n"
+         "                          (default 3): retry, then the fallback"
+         " ladder (warned)\n"
          "\n"
          "  resilience flags (uncertainty, campaign, batch, serve):\n"
          "    --checkpoint FILE  write periodic append-only checkpoints of"
@@ -175,9 +183,11 @@ struct Arguments {
   std::string command;
   std::string model_path;
   expr::ParameterSet overrides;
-  ctmc::SteadyStateMethod method = ctmc::SteadyStateMethod::kGth;
-  linalg::PrecondKind precond = linalg::PrecondKind::kIlu0;
-  std::size_t sparse_threshold = 0;  // 0 = library default
+  // --method, --precond, --sparse-threshold, --max-iter-budget
+  serve::SolveSpec spec;
+  // --max-attempts and the batch/serve admission flags; the retry
+  // bound governs the solves of solve, states and sweep too
+  serve::SupervisionOptions supervision;
   std::string sweep_param;
   double from = 0.0;
   double to = 0.0;
@@ -209,17 +219,10 @@ struct Arguments {
   std::string checkpoint_path;     // empty = no checkpointing
   bool resume = false;             // continue from checkpoint_path
   double deadline_seconds = 0.0;   // 0 = no deadline
-  std::size_t max_iter_budget = 0; // 0 = library default
 
   // batch/serve
   std::string out_path;              // empty = results to stdout
   std::size_t cache_entries = 1024;  // shared solve-cache slots; 0 off
-
-  // batch/serve supervision (serve/supervise.h)
-  std::size_t max_attempts = 3;      // retry bound incl. first try
-  std::size_t admission_states = 0;  // 0 = no state-count cap
-  std::size_t admission_nnz = 0;     // 0 = no transition-count cap
-  std::size_t queue_cap = 0;         // 0 = unbounded in-flight queue
 };
 
 // Every numeric flag goes through io/number_parse: the whole token
@@ -304,23 +307,27 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto next_size = [&](std::size_t& out) {
+      const char* value = next();
+      return value != nullptr && parse_size(value, out);
+    };
     if (flag == "--set") {
       const char* value = next();
       if (!value || !parse_set(value, args.overrides)) return false;
     } else if (flag == "--method") {
       const char* value = next();
-      if (!value || !parse_name(value, flag, ctmc::parse_method, args.method)) {
+      if (!value ||
+          !parse_name(value, flag, ctmc::parse_method, args.spec.method)) {
         return false;
       }
     } else if (flag == "--precond") {
       const char* value = next();
       if (!value ||
-          !parse_name(value, flag, linalg::parse_precond, args.precond)) {
+          !parse_name(value, flag, linalg::parse_precond, args.spec.precond)) {
         return false;
       }
     } else if (flag == "--sparse-threshold") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.sparse_threshold)) return false;
+      if (!next_size(args.spec.sparse_threshold)) return false;
     } else if (flag == "--param") {
       const char* value = next();
       if (!value) return false;
@@ -332,22 +339,18 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
         return false;
       }
     } else if (flag == "--points") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.points)) return false;
+      if (!next_size(args.points)) return false;
     } else if (flag == "--threads") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.threads)) return false;
+      if (!next_size(args.threads)) return false;
     } else if (flag == "--range") {
       const char* value = next();
       stats::ParameterRange range;
       if (!value || !parse_range(value, range)) return false;
       args.ranges.push_back(std::move(range));
     } else if (flag == "--samples") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.samples)) return false;
+      if (!next_size(args.samples)) return false;
     } else if (flag == "--trials") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.trials)) return false;
+      if (!next_size(args.trials)) return false;
     } else if (flag == "--seed") {
       const char* value = next();
       if (!value || !parse_uint64(value, args.seed)) return false;
@@ -373,32 +376,27 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       const char* value = next();
       if (!value || !parse_double(value, args.deadline_seconds)) return false;
     } else if (flag == "--max-iter-budget") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.max_iter_budget)) return false;
+      if (!next_size(args.spec.max_iterations)) return false;
     } else if (flag == "--out") {
       const char* value = next();
       if (!value) return false;
       args.out_path = value;
     } else if (flag == "--cache-entries") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.cache_entries)) return false;
+      if (!next_size(args.cache_entries)) return false;
     } else if (flag == "--max-attempts") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.max_attempts)) return false;
-      if (args.max_attempts == 0) {
+      std::size_t& attempts = args.supervision.retry.max_attempts;
+      if (!next_size(attempts)) return false;
+      if (attempts == 0) {
         std::cerr << "invalid value '0': --max-attempts counts the first "
                      "try, so it must be at least 1\n";
         return false;
       }
     } else if (flag == "--admission-states") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.admission_states)) return false;
+      if (!next_size(args.supervision.admission_states)) return false;
     } else if (flag == "--admission-nnz") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.admission_nnz)) return false;
+      if (!next_size(args.supervision.admission_nnz)) return false;
     } else if (flag == "--queue-cap") {
-      const char* value = next();
-      if (!value || !parse_size(value, args.queue_cap)) return false;
+      if (!next_size(args.supervision.queue_cap)) return false;
     } else if (flag == "--update-golden") {
       args.update_golden = true;
     } else if (flag == "--json") {
@@ -433,43 +431,30 @@ void print_metrics(const core::AvailabilityMetrics& m) {
   std::printf("expected reward rate: %.9f\n", m.expected_reward_rate);
 }
 
-// SolveControl for the interactive solve paths: iteration budget from
-// --max-iter-budget, the process cancel token, and the GTH fallback so
-// a nonconverging GMRES or BiCGStab solve still yields a trustworthy pi
-// (with a stderr warning) instead of dying.
-ctmc::SolveControl interactive_solve_control(const Arguments& args) {
-  ctmc::SolveControl control;
-  control.max_iterations = args.max_iter_budget;
-  control.cancel = &g_cancel;
-  control.escalate = true;
-  control.precond = args.precond;
-  control.sparse_threshold = args.sparse_threshold;
-  return control;
-}
-
-// Batch solves (uncertainty samples): no escalation — a sample whose
+// Uncertainty samples: one attempt and no fallback — a sample whose
 // solve fails is recorded with its parameter draw and dropped, which
-// keeps the failure visible in the final report instead of silently
-// switching methods mid-campaign.
+// keeps the failure visible in the report instead of switching methods
+// mid-analysis.
 ctmc::SolveControl batch_solve_control(const Arguments& args) {
   ctmc::SolveControl control;
-  control.max_iterations = args.max_iter_budget;
+  control.max_iterations = args.spec.max_iterations;
   control.cancel = &g_cancel;
-  control.escalate = false;
-  control.precond = args.precond;
-  control.sparse_threshold = args.sparse_threshold;
+  control.precond = args.spec.precond;
+  control.sparse_threshold = args.spec.sparse_threshold;
   return control;
 }
 
-// Nonconvergence must reach the user, not just an obs counter: warn
-// about escalations and return kExitNonConvergence when the printed pi
-// failed its residual check.
-int report_solve_quality(const ctmc::SteadyState& steady,
+// A degraded answer must reach the user, not just an obs counter: warn
+// when a lower rung of the fallback ladder answered, and return
+// kExitNonConvergence when the printed pi failed its residual check.
+int report_solve_quality(const serve::Evaluation& evaluation,
                          const Arguments& args) {
-  if (steady.escalated) {
-    std::cerr << "warning: method '" << ctmc::to_string(args.method)
-              << "' did not produce a usable solution; escalated to GTH\n";
+  if (!evaluation.solved.fallback.empty()) {
+    std::cerr << "warning: method '" << ctmc::to_string(args.spec.method)
+              << "' failed; answered on fallback rung '"
+              << evaluation.solved.fallback << "'\n";
   }
+  const ctmc::SteadyState& steady = evaluation.solved.steady;
   if (steady.residual > kResidualWarnLimit) {
     std::cerr << "warning: steady-state residual " << steady.residual
               << " exceeds " << kResidualWarnLimit
@@ -481,13 +466,12 @@ int report_solve_quality(const ctmc::SteadyState& steady,
 
 int run_solve(const Arguments& args) {
   const io::ModelFile file = io::load_model(args.model_path);
-  const ctmc::Ctmc chain = file.bind(args.overrides);
+  ctmc::SolveCache cache;
+  const serve::Evaluation evaluation = serve::evaluate(
+      file, args.overrides, args.spec, cache, args.supervision, &g_cancel);
   if (!file.name.empty()) std::printf("model: %s\n\n", file.name.c_str());
-  const auto steady = ctmc::solve_steady_state(
-      chain, args.method, ctmc::Validation::kOn,
-      interactive_solve_control(args));
-  print_metrics(core::availability_metrics(chain, steady));
-  return report_solve_quality(steady, args);
+  print_metrics(evaluation.metrics);
+  return report_solve_quality(evaluation, args);
 }
 
 int run_lint(const Arguments& args) {
@@ -519,10 +503,11 @@ int run_lint(const Arguments& args) {
 
 int run_states(const Arguments& args) {
   const io::ModelFile file = io::load_model(args.model_path);
-  const ctmc::Ctmc chain = file.bind(args.overrides);
-  const auto steady = ctmc::solve_steady_state(
-      chain, args.method, ctmc::Validation::kOn,
-      interactive_solve_control(args));
+  ctmc::SolveCache cache;
+  const serve::Evaluation evaluation = serve::evaluate(
+      file, args.overrides, args.spec, cache, args.supervision, &g_cancel);
+  const ctmc::Ctmc& chain = evaluation.chain;
+  const ctmc::SteadyState& steady = evaluation.solved.steady;
   report::TextTable table({"State", "Reward", "Probability",
                            "Minutes/year"});
   for (ctmc::StateId s = 0; s < chain.num_states(); ++s) {
@@ -533,7 +518,7 @@ int run_states(const Arguments& args) {
                        steady.probability(s) * 8760.0 * 60.0, 3)});
   }
   std::cout << table.to_string();
-  return report_solve_quality(steady, args);
+  return report_solve_quality(evaluation, args);
 }
 
 int run_sweep(const Arguments& args) {
@@ -541,20 +526,30 @@ int run_sweep(const Arguments& args) {
     return usage();
   }
   const io::ModelFile file = io::load_model(args.model_path);
-  const ctmc::SolveControl control = interactive_solve_control(args);
+  // The swept name is an override like any --set: one the model does
+  // not declare is refused before any point solves.
+  expr::ParameterSet overrides = args.overrides;
+  overrides.set(args.sweep_param, args.from);
+  const expr::ParameterSet base = file.parameters_with(overrides);
+  std::atomic<std::size_t> fallbacks{0};
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
-        const ctmc::Ctmc chain = file.model.bind(params);
-        return serve::metric_value(
-            args.metric,
-            core::availability_metrics(
-                chain, cache.steady_state(chain, args.method,
-                                          ctmc::Validation::kOn, control)));
+        const serve::Evaluation evaluation = serve::evaluate(
+            file, params, args.spec, cache, args.supervision, &g_cancel);
+        if (!evaluation.solved.fallback.empty()) {
+          fallbacks.fetch_add(1, std::memory_order_relaxed);
+        }
+        return serve::metric_value(args.metric, evaluation.metrics);
       };
   const auto values = analysis::linspace(args.from, args.to, args.points);
-  const auto sweep = analysis::parametric_sweep(
-      metric_fn, file.parameters_with(args.overrides), args.sweep_param,
-      values, args.threads);
+  const auto sweep = analysis::parametric_sweep(metric_fn, base,
+                                                args.sweep_param, values,
+                                                args.threads);
+  if (fallbacks.load() > 0) {
+    std::cerr << "warning: " << fallbacks.load() << " of " << args.points
+              << " points answered on a fallback rung (method '"
+              << ctmc::to_string(args.spec.method) << "' failed there)\n";
+  }
 
   std::vector<double> ys;
   const std::string metric = serve::to_string(args.metric);
@@ -714,10 +709,10 @@ std::uint64_t uncertainty_digest(const Arguments& args,
       .add_u64(base.size());
   for (const auto& [name, value] : base) digest.add_str(name).add_f64(value);
   digest.add_str(serve::to_string(args.metric))
-      .add_str(ctmc::to_string(args.method))
-      .add_str(linalg::precond_name(args.precond))
-      .add_u64(args.sparse_threshold)
-      .add_u64(args.max_iter_budget);
+      .add_str(ctmc::to_string(args.spec.method))
+      .add_str(linalg::precond_name(args.spec.precond))
+      .add_u64(args.spec.sparse_threshold)
+      .add_u64(args.spec.max_iterations);
   return digest.value();
 }
 
@@ -749,7 +744,7 @@ int run_uncertainty(const Arguments& args) {
         return serve::metric_value(
             args.metric,
             core::availability_metrics(
-                chain, cache.steady_state(chain, args.method,
+                chain, cache.steady_state(chain, args.spec.method,
                                           ctmc::Validation::kOn,
                                           solve_control)));
       };
@@ -905,11 +900,7 @@ int run_serve_cmd(const Arguments& args) {
   options.threads = args.threads;
   options.cache_capacity = args.cache_entries;
   options.control.cancel = &g_cancel;
-  options.supervision.retry.max_attempts = args.max_attempts;
-  options.supervision.retry.base_iterations = args.max_iter_budget;
-  options.supervision.admission_states = args.admission_states;
-  options.supervision.admission_nnz = args.admission_nnz;
-  options.supervision.queue_cap = args.queue_cap;
+  options.supervision = args.supervision;
 
   std::optional<resil::Checkpointer> checkpoint;
   const int checkpoint_error = open_checkpoint(
