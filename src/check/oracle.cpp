@@ -586,6 +586,33 @@ void expect_equal(OracleReport& report, const std::string& what,
   }
 }
 
+// One check for a whole vector: the length, then the first element
+// whose bits differ.
+void expect_same_vector(OracleReport& report, const std::string& what,
+                        const linalg::Vector& got, const linalg::Vector& want) {
+  if (got.size() != want.size()) {
+    expect_same_bits(report, what + " length", static_cast<double>(got.size()),
+                     static_cast<double>(want.size()));
+    return;
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      expect_same_bits(report, what + "[" + std::to_string(i) + "]", got[i],
+                       want[i]);
+      return;
+    }
+  }
+  ++report.checks;
+}
+
+// A Krylov result's converged, breakdown and cancelled flags as one
+// number.
+double krylov_flags(const linalg::KrylovResult& r) {
+  return (r.converged ? 1.0 : 0.0) + (r.breakdown ? 2.0 : 0.0) +
+         (r.cancelled ? 4.0 : 0.0);
+}
+
 }  // namespace
 
 OracleReport check_bind_consensus(const ctmc::SymbolicCtmc& model,
@@ -654,6 +681,80 @@ OracleReport check_bind_consensus(const ctmc::SymbolicCtmc& model,
       expect_same_bits(report, "pi[" + want.state_name(s) + "]",
                        solved.value->probabilities[s],
                        solved_reference.value->probabilities[s]);
+    }
+  }
+  return report;
+}
+
+OracleReport check_krylov_plan_consensus(
+    const std::vector<ctmc::Ctmc>& chains) {
+  OracleReport report;
+  for (const auto method :
+       {ctmc::SteadyStateMethod::kGmres, ctmc::SteadyStateMethod::kBiCgStab}) {
+    for (const auto precond :
+         {linalg::PrecondKind::kNone, linalg::PrecondKind::kJacobi,
+          linalg::PrecondKind::kIlu0}) {
+      const std::string name = std::string(ctmc::to_string(method)) + "+" +
+                               linalg::precond_name(precond);
+      linalg::SolveWorkspace workspace;  // dirty from every chain before
+      ctmc::SolveCache cache;
+      ctmc::SolveControl control;
+      control.precond = precond;
+      control.sparse_threshold = 1;
+      for (std::size_t c = 0; c < chains.size(); ++c) {
+        const ctmc::Ctmc& chain = chains[c];
+        const std::string what = name + " chain " + std::to_string(c);
+        linalg::KrylovOptions options;
+        options.precond = precond;
+        const auto fresh = outcome_of<linalg::KrylovResult>([&] {
+          return method == ctmc::SteadyStateMethod::kGmres
+                     ? linalg::gmres_stationary(chain.sparse_generator(),
+                                                options)
+                     : linalg::bicgstab_stationary(chain.sparse_generator(),
+                                                   options);
+        });
+        options.workspace = &workspace;
+        const auto planned = outcome_of<linalg::KrylovResult>(
+            [&] { return ctmc::krylov_stationary(chain, method, options); });
+        expect_equal(report, what + " exception", planned.error, fresh.error);
+        if (planned.value && fresh.value) {
+          const linalg::KrylovResult& got = *planned.value;
+          const linalg::KrylovResult& want = *fresh.value;
+          expect_same_vector(report, what + " pi", got.x, want.x);
+          expect_same_bits(report, what + " iterations",
+                           static_cast<double>(got.iterations),
+                           static_cast<double>(want.iterations));
+          expect_same_bits(report, what + " residual", got.residual,
+                           want.residual);
+          expect_same_bits(report, what + " flags", krylov_flags(got),
+                           krylov_flags(want));
+        }
+
+        // The production path: SolveCache -> solve_steady_state.
+        const bool fresh_solved = fresh.value && fresh.value->converged;
+        ++report.checks;
+        try {
+          const ctmc::SteadyState& steady = cache.steady_state(
+              chain, method, ctmc::Validation::kOff, control);
+          if (!fresh_solved) {
+            report.failures.push_back(what +
+                                      " cache: solved a chain the fresh "
+                                      "solve did not");
+          } else {
+            expect_same_vector(report, what + " cache pi",
+                               steady.probabilities, fresh.value->x);
+            expect_same_bits(report, what + " cache iterations",
+                             static_cast<double>(steady.iterations),
+                             static_cast<double>(fresh.value->iterations));
+          }
+        } catch (const ctmc::NonConvergenceError& e) {
+          if (fresh_solved) {
+            report.failures.push_back(what + " cache: threw: " + e.what());
+          }
+        } catch (const std::exception& e) {
+          report.failures.push_back(what + " cache: threw: " + e.what());
+        }
+      }
     }
   }
   return report;

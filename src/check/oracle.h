@@ -145,4 +145,24 @@ struct OracleOptions {
 [[nodiscard]] OracleReport check_bind_consensus(
     const ctmc::SymbolicCtmc& model, const expr::ParameterSet& params);
 
+/// Tolerance-zero gate for the Krylov plan (linalg/krylov_plan.h).
+/// For GMRES and BiCGStab, each with none, jacobi and ilu0, solves
+/// `chains` in order through one workspace with
+/// ctmc::krylov_stationary, so every solve after the first meets the
+/// plan the chains before it left.  Each solve must reproduce a fresh
+/// linalg::gmres_stationary / bicgstab_stationary(
+/// chain.sparse_generator(), ...): the same probability bits,
+/// iteration count, residual bits and flags, or the same exception
+/// type and message (an ILU(0) or Jacobi rejection included).  The
+/// same chains also go through one SolveCache with sparse_threshold 1
+/// and validation off, which must return those probabilities and
+/// that iteration count, or throw NonConvergenceError where the fresh
+/// solve failed.  The sequence decides what is exercised: reuse when
+/// chains repeat a pattern id (draws of one compiled model),
+/// invalidation when the id changes (models alternating, a copy of a
+/// model, which compiles with a new id), and a layout per solve for
+/// chains with id 0 (the public Ctmc constructor).
+[[nodiscard]] OracleReport check_krylov_plan_consensus(
+    const std::vector<ctmc::Ctmc>& chains);
+
 }  // namespace rascal::check

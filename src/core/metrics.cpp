@@ -27,13 +27,13 @@ AvailabilityMetrics availability_metrics(const ctmc::Ctmc& chain,
   // Sum the *down* probabilities directly: availability models leave
   // only ~1e-6..1e-30 mass in down states, which "1 - sum(up)" would
   // destroy by cancellation.
-  std::vector<bool> up(chain.num_states());
+  const std::vector<ctmc::State>& states = chain.states();
+  const linalg::Vector& pi = steady.probabilities;
   double p_down = 0.0;
   double reward_rate = 0.0;
-  for (ctmc::StateId i = 0; i < chain.num_states(); ++i) {
-    up[i] = chain.reward(i) >= up_threshold;
-    if (!up[i]) p_down += steady.probability(i);
-    reward_rate += steady.probability(i) * chain.reward(i);
+  for (ctmc::StateId i = 0; i < states.size(); ++i) {
+    if (!(states[i].reward >= up_threshold)) p_down += pi[i];
+    reward_rate += pi[i] * states[i].reward;
   }
   const double p_up = 1.0 - p_down;
   m.availability = p_up;
@@ -44,7 +44,10 @@ AvailabilityMetrics availability_metrics(const ctmc::Ctmc& chain,
   // Frequency of system failures: flow across the up -> down cut.
   double freq = 0.0;
   for (const ctmc::Transition& t : chain.transitions()) {
-    if (up[t.from] && !up[t.to]) freq += steady.probability(t.from) * t.rate;
+    if (states[t.from].reward >= up_threshold &&
+        !(states[t.to].reward >= up_threshold)) {
+      freq += pi[t.from] * t.rate;
+    }
   }
   m.failure_frequency = freq;
   if (freq > 0.0) {

@@ -1,6 +1,7 @@
 #include "ctmc/builder.h"
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -51,8 +52,12 @@ struct SymbolicCtmc::Compiled {
   // run of parallel transitions in sorted_programs ends.
   std::vector<Transition> pattern;
   std::vector<std::uint32_t> run_end;
+  // The pattern's adjacency index, which every bound chain shares.
+  std::vector<std::size_t> row_offsets;
   // validate_for_steady_state found no error on the pattern.
   bool steady_state_valid = false;
+  // Ctmc::pattern_id of every chain this compile binds.
+  std::uint64_t pattern_id = 0;
 
   [[nodiscard]] static Compiled make(
       const std::vector<State>& states,
@@ -111,12 +116,23 @@ SymbolicCtmc::Compiled SymbolicCtmc::Compiled::make(
     c.run_end.back() = static_cast<std::uint32_t>(c.sorted_programs.size());
   }
 
+  c.row_offsets = Ctmc::row_offsets_of(c.pattern, states.size());
+
   std::vector<Transition> unit_rates = c.pattern;
-  for (Transition& t : unit_rates) t.rate = 1.0;
+  std::vector<double> unit_exits(states.size(), 0.0);
+  for (Transition& t : unit_rates) {
+    t.rate = 1.0;
+    unit_exits[t.from] += 1.0;
+  }
   c.steady_state_valid =
       !validate_for_steady_state(
-           Ctmc(Ctmc::Prevalidated{}, states, std::move(unit_rates), false))
+           Ctmc(Ctmc::Prevalidated{}, states, std::move(unit_rates),
+                c.row_offsets, std::move(unit_exits), false, 0))
            .has_errors();
+  // Ids start at 1 and are never handed out twice, so no two compiles,
+  // of one model or of two, ever share one.
+  static std::atomic<std::uint64_t> next_pattern_id{1};
+  c.pattern_id = next_pattern_id.fetch_add(1, std::memory_order_relaxed);
   c.usable = true;
   return c;
 }
@@ -150,15 +166,19 @@ std::optional<Ctmc> SymbolicCtmc::Compiled::bind(
     if (!(v > 0.0) || !std::isfinite(v)) return std::nullopt;
   }
 
+  // Each exit rate is summed in transition order, as
+  // Ctmc::build_index sums it.
   std::vector<Transition> merged = pattern;
+  std::vector<double> exit_rates(states.size(), 0.0);
   std::size_t k = 0;
   for (std::size_t m = 0; m < merged.size(); ++m) {
     double rate = values[sorted_programs[k++]];
     while (k < run_end[m]) rate += values[sorted_programs[k++]];
     merged[m].rate = rate;
+    exit_rates[merged[m].from] += rate;
   }
-  return Ctmc(Ctmc::Prevalidated{}, states, std::move(merged),
-              steady_state_valid);
+  return Ctmc(Ctmc::Prevalidated{}, states, std::move(merged), row_offsets,
+              std::move(exit_rates), steady_state_valid, pattern_id);
 }
 
 SymbolicCtmc::CompileOncePtr SymbolicCtmc::fresh_compiled() {

@@ -58,12 +58,15 @@ Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
 
 Ctmc::Ctmc(Prevalidated, std::vector<State> states,
            std::vector<Transition> transitions,
-           bool steady_state_prevalidated)
+           std::vector<std::size_t> row_offsets,
+           std::vector<double> exit_rates, bool steady_state_prevalidated,
+           std::uint64_t pattern_id)
     : states_(std::move(states)),
       transitions_(std::move(transitions)),
-      steady_state_prevalidated_(steady_state_prevalidated) {
-  build_index();
-}
+      row_offsets_(std::move(row_offsets)),
+      exit_rates_(std::move(exit_rates)),
+      steady_state_prevalidated_(steady_state_prevalidated),
+      pattern_id_(pattern_id) {}
 
 void Ctmc::sort_by_endpoints(std::vector<Transition>& transitions) {
   std::sort(transitions.begin(), transitions.end(),
@@ -72,12 +75,16 @@ void Ctmc::sort_by_endpoints(std::vector<Transition>& transitions) {
             });
 }
 
+std::vector<std::size_t> Ctmc::row_offsets_of(
+    const std::vector<Transition>& sorted, std::size_t states) {
+  std::vector<std::size_t> offsets(states + 1, 0);
+  for (const Transition& t : sorted) ++offsets[t.from + 1];
+  for (std::size_t i = 0; i < states; ++i) offsets[i + 1] += offsets[i];
+  return offsets;
+}
+
 void Ctmc::build_index() {
-  row_offsets_.assign(states_.size() + 1, 0);
-  for (const Transition& t : transitions_) ++row_offsets_[t.from + 1];
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    row_offsets_[i + 1] += row_offsets_[i];
-  }
+  row_offsets_ = row_offsets_of(transitions_, states_.size());
   exit_rates_.assign(states_.size(), 0.0);
   for (const Transition& t : transitions_) exit_rates_[t.from] += t.rate;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,6 +61,10 @@ class Ctmc {
 
   /// Total exit rate of a state.
   [[nodiscard]] double exit_rate(StateId id) const;
+  /// Every state's exit rate, indexed by state id.
+  [[nodiscard]] const std::vector<double>& exit_rates() const noexcept {
+    return exit_rates_;
+  }
 
   /// Rate from `from` to `to` (0 when no transition).
   [[nodiscard]] double rate(StateId from, StateId to) const;
@@ -97,21 +102,42 @@ class Ctmc {
     return steady_state_prevalidated_;
   }
 
+  /// Names the chain's transition pattern, or 0 when unknown.  A
+  /// compiled SymbolicCtmc draws an id from a process-wide counter
+  /// when it compiles, never hands it to another compile, and stamps
+  /// it on every chain its compiled bind builds.  Those chains have
+  /// the same transitions in the same order with rates > 0, so the
+  /// same states carry a diagonal: two chains with one nonzero id
+  /// differ only in their rates.  The public constructor leaves 0.
+  /// A Krylov solve keys its reusable plan on this id
+  /// (linalg/krylov_plan.h).
+  [[nodiscard]] std::uint64_t pattern_id() const noexcept {
+    return pattern_id_;
+  }
+
  private:
   friend class SymbolicCtmc;
 
   // SymbolicCtmc's compiled bind: `transitions` are already sorted and
-  // merged, and the state table was validated when the model was
-  // compiled.
+  // merged, `row_offsets` and `exit_rates` are their adjacency index
+  // and per-state sums (see build_index), and the state table was
+  // validated when the model was compiled.
   struct Prevalidated {};
   Ctmc(Prevalidated, std::vector<State> states,
-       std::vector<Transition> transitions, bool steady_state_prevalidated);
+       std::vector<Transition> transitions,
+       std::vector<std::size_t> row_offsets, std::vector<double> exit_rates,
+       bool steady_state_prevalidated, std::uint64_t pattern_id);
 
   // The one sort every chain's transitions go through: std::sort by
   // (from, to).  It is not stable, so the order of parallel
   // transitions, and with it the bits of their merged rate, is
   // whatever this call leaves.
   static void sort_by_endpoints(std::vector<Transition>& transitions);
+
+  // The adjacency index of sorted transitions: row i occupies
+  // [offsets[i], offsets[i+1]).
+  static std::vector<std::size_t> row_offsets_of(
+      const std::vector<Transition>& sorted, std::size_t states);
 
   void build_index();
 
@@ -120,8 +146,10 @@ class Ctmc {
   // Adjacency index: transitions_ offsets sorted by (from, to); built
   // once in the constructor.
   std::vector<std::size_t> row_offsets_;
+  // Each state's exit rate, summed in transition order.
   std::vector<double> exit_rates_;
   bool steady_state_prevalidated_ = false;
+  std::uint64_t pattern_id_ = 0;
 };
 
 }  // namespace rascal::ctmc

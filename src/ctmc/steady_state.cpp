@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "linalg/gth.h"
-#include "linalg/krylov.h"
 #include "obs/obs.h"
 
 namespace rascal::ctmc {
@@ -104,7 +103,7 @@ double residual_inf(const Ctmc& chain, const linalg::Vector& pi,
       while (k < ts.size() && ts[k].from == i) ++k;
       continue;
     }
-    const double exit = chain.exit_rate(i);
+    const double exit = chain.exit_rates()[i];
     bool diag_pending = exit != 0.0;
     while (k < ts.size() && ts[k].from == i) {
       if (diag_pending && ts[k].to > i) {
@@ -120,6 +119,46 @@ double residual_inf(const Ctmc& chain, const linalg::Vector& pi,
 }
 
 }  // namespace
+
+linalg::KrylovResult krylov_stationary(const Ctmc& chain,
+                                       SteadyStateMethod method,
+                                       const linalg::KrylovOptions& options) {
+  std::optional<linalg::SolveWorkspace> local_ws;
+  linalg::KrylovOptions opts = options;
+  if (opts.workspace == nullptr) opts.workspace = &local_ws.emplace();
+  linalg::KrylovPlan& plan = opts.workspace->krylov_plan();
+  const std::uint64_t id = chain.pattern_id();
+  if (id == 0 || plan.pattern_id() != id) {
+    plan.layout(id, chain.sparse_generator());
+    if (obs::enabled()) {
+      static obs::Counter& layouts = obs::counter("ctmc.solver.plan_layouts");
+      layouts.add(1);
+    }
+  }
+
+  // This draw's rates: every transition rate and negated exit rate
+  // into its slot of the system.  An id names one pattern, so the
+  // sizes always match; the check keeps a broken id from writing out
+  // of bounds.
+  const std::vector<Transition>& ts = chain.transitions();
+  const std::vector<double>& exits = chain.exit_rates();
+  const std::span<const std::uint32_t> off = plan.off_diagonal_slots();
+  const std::span<const std::uint32_t> diag = plan.diagonal_slots();
+  if (off.size() != ts.size() || diag.size() != exits.size()) {
+    throw std::logic_error(
+        "krylov_stationary: the workspace's plan does not fit the chain");
+  }
+  const std::span<double> values = plan.values();
+  for (std::size_t k = 0; k < ts.size(); ++k) {
+    if (off[k] != linalg::KrylovPlan::kNoSlot) values[off[k]] = ts[k].rate;
+  }
+  for (std::size_t i = 0; i < exits.size(); ++i) {
+    if (diag[i] != linalg::KrylovPlan::kNoSlot) values[diag[i]] = -exits[i];
+  }
+  return method == SteadyStateMethod::kBiCgStab
+             ? linalg::bicgstab_stationary(plan, opts)
+             : linalg::gmres_stationary(plan, opts);
+}
 
 SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
                                Validation validation,
@@ -171,9 +210,7 @@ SteadyState solve_steady_state(const Ctmc& chain, SteadyStateMethod method,
     linalg::KrylovResult kr;  // unconverged, 0 iterations if rejected
     std::string failure_note;
     try {
-      kr = effective == SteadyStateMethod::kGmres
-               ? linalg::gmres_stationary(chain.sparse_generator(), kopts)
-               : linalg::bicgstab_stationary(chain.sparse_generator(), kopts);
+      kr = krylov_stationary(chain, effective, kopts);
     } catch (const linalg::PrecondError& e) {
       // A structurally unusable pattern (e.g. absorbing state with
       // validation off) fails like nonconvergence, so a supervisor can

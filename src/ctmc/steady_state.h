@@ -6,6 +6,7 @@
 
 #include "ctmc/ctmc.h"
 #include "ctmc/validate.h"
+#include "linalg/krylov.h"
 #include "linalg/matrix.h"
 #include "linalg/precond.h"
 #include "linalg/workspace.h"
@@ -82,8 +83,10 @@ struct SolveControl {
   std::size_t gmres_restart = 0;
 
   /// Optional reusable scratch storage (dense elimination matrix,
-  /// residual and Krylov vectors).  Batch engines give each worker its
-  /// own workspace so repeated solves stop allocating; results are
+  /// residual and Krylov vectors, and the Krylov plan of the last
+  /// sparse solve).  Batch engines give each worker its own workspace
+  /// so repeated solves stop allocating, and draws of one compiled
+  /// model stop rebuilding their Krylov system; results are
   /// bit-identical with and without one (oracle-gated).  Not owned.
   linalg::SolveWorkspace* workspace = nullptr;
 };
@@ -123,5 +126,20 @@ struct SteadyState {
     const Ctmc& chain, SteadyStateMethod method = SteadyStateMethod::kGth,
     Validation validation = Validation::kOn,
     const SolveControl& control = {});
+
+/// The sparse branch of solve_steady_state: BiCGStab for kBiCgStab,
+/// GMRES otherwise, on the chain's normalized stationary system,
+/// through the Krylov plan of options.workspace (a local workspace's
+/// when null).  The plan is reused when it was laid out for the
+/// chain's nonzero Ctmc::pattern_id, and laid out again from
+/// chain.sparse_generator() otherwise; either way a solve scatters the
+/// chain's rates into it.  Bit-identical to linalg::gmres_stationary /
+/// bicgstab_stationary(chain.sparse_generator(), options) in the
+/// distribution, iteration count and residual, and throws what they
+/// throw, linalg::PrecondError included (gated by
+/// check::check_krylov_plan_consensus).  No structural check runs.
+[[nodiscard]] linalg::KrylovResult krylov_stationary(
+    const Ctmc& chain, SteadyStateMethod method,
+    const linalg::KrylovOptions& options);
 
 }  // namespace rascal::ctmc

@@ -42,26 +42,30 @@ bool broke(double denom) {
   return !std::isfinite(denom) || std::abs(denom) < kBreakdownFloor;
 }
 
-}  // namespace
-
-KrylovResult gmres(const CsrMatrix& a, const Vector& b,
-                   const KrylovOptions& options) {
-  require_system(a, b, "gmres");
-  const std::size_t n = b.size();
-
-  std::optional<SolveWorkspace> local_ws;
-  SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
-
-  KrylovResult result;
-  const auto precond = make_preconditioner(options.precond, a);
-
+// The starting iterate: options.initial_guess, or n copies of `fill`.
+Vector start_iterate(const KrylovOptions& options, std::size_t n, double fill,
+                     const char* who) {
   Vector x = options.initial_guess != nullptr ? *options.initial_guess
-                                              : Vector(n, 0.0);
+                                              : Vector(n, fill);
   if (x.size() != n) {
-    throw std::invalid_argument("gmres: initial guess size mismatch");
+    throw std::invalid_argument(std::string(who) +
+                                ": initial guess size mismatch");
   }
+  return x;
+}
 
+// The methods iterate on any system with y = A x (multiply_into) and
+// any preconditioner with z = M^{-1} r (apply): a CsrMatrix with a
+// Preconditioner, or a KrylovPlan, which is both.  One template per
+// method keeps one operation sequence, so a plan's solve has the bits
+// of the matrix path's.
+
+template <typename System, typename Precond>
+KrylovResult run_gmres(const System& a, const Precond& precond,
+                       const Vector& b, Vector x, const KrylovOptions& options,
+                       SolveWorkspace& ws) {
+  const std::size_t n = b.size();
+  KrylovResult result;
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
     result.x.assign(n, 0.0);
@@ -74,16 +78,16 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
       1, std::min<std::size_t>(options.restart, n));
   const std::size_t lead = m + 1;  // Hessenberg leading dim, column-major
 
-  std::vector<Vector>& basis = ws->krylov_basis(m + 1, n);
-  Vector& r = ws->sparse_vec(0, n);
-  Vector& z = ws->sparse_vec(1, n);
-  Vector& w = ws->sparse_vec(2, n);
-  Vector& h = ws->sparse_vec(3, lead * m);
-  Vector& cs = ws->sparse_vec(4, m);
-  Vector& sn = ws->sparse_vec(5, m);
-  Vector& g = ws->sparse_vec(6, m + 1);
-  Vector& y = ws->sparse_vec(7, m);
-  Vector& vy = ws->sparse_vec(8, n);
+  std::vector<Vector>& basis = ws.krylov_basis(m + 1);
+  Vector& r = ws.sparse_vec(0, n);
+  Vector& z = ws.sparse_vec(1, n);
+  Vector& w = ws.sparse_vec(2, n);
+  Vector& h = ws.sparse_vec(3, lead * m);
+  Vector& cs = ws.sparse_vec(4, m);
+  Vector& sn = ws.sparse_vec(5, m);
+  Vector& g = ws.sparse_vec(6, m + 1);
+  Vector& y = ws.sparse_vec(7, m);
+  Vector& vy = ws.sparse_vec(8, n);
 
   a.multiply_into(x, w);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - w[i];
@@ -98,6 +102,7 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
   while (result.iterations < max_it) {
     // --- restart cycle ---
     const double beta = rnorm;
+    basis[0].resize(n);
     for (std::size_t i = 0; i < n; ++i) basis[0][i] = r[i] / beta;
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
@@ -109,20 +114,39 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
         result.cancelled = true;
         break;
       }
-      precond->apply(basis[j], z);
+      precond.apply(basis[j], z);
       a.multiply_into(z, w);
       ++result.iterations;
 
-      // Modified Gram-Schmidt against the current basis.
+      // Modified Gram-Schmidt against the current basis.  The sweep
+      // that subtracts one projection from w also takes w's dot
+      // product with the next basis vector, or its norm after the
+      // last one, accumulating in the order dot() and norm2() would.
+      double hij = dot(w, basis[0]);
+      double hj1 = 0.0;
+      double* wp = w.data();
       for (std::size_t i = 0; i <= j; ++i) {
-        const double hij = dot(w, basis[i]);
         h[i + j * lead] = hij;
-        const Vector& vi = basis[i];
-        for (std::size_t t = 0; t < n; ++t) w[t] -= hij * vi[t];
+        const double* vi = basis[i].data();
+        double acc = 0.0;
+        if (i < j) {
+          const double* next = basis[i + 1].data();
+          for (std::size_t t = 0; t < n; ++t) {
+            wp[t] -= hij * vi[t];
+            acc += wp[t] * next[t];
+          }
+          hij = acc;
+        } else {
+          for (std::size_t t = 0; t < n; ++t) {
+            wp[t] -= hij * vi[t];
+            acc += wp[t] * wp[t];
+          }
+          hj1 = std::sqrt(acc);
+        }
       }
-      const double hj1 = norm2(w);
       h[(j + 1) + j * lead] = hj1;
       if (hj1 != 0.0) {
+        basis[j + 1].resize(n);
         for (std::size_t t = 0; t < n; ++t) basis[j + 1][t] = w[t] / hj1;
       }
 
@@ -187,7 +211,7 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
       const Vector& vi = basis[i];
       for (std::size_t t = 0; t < n; ++t) vy[t] += yi * vi[t];
     }
-    precond->apply(vy, z);
+    precond.apply(vy, z);
     for (std::size_t t = 0; t < n; ++t) x[t] += z[t];
 
     // Restart decisions use the true residual, not the Givens
@@ -207,24 +231,12 @@ KrylovResult gmres(const CsrMatrix& a, const Vector& b,
   return result;
 }
 
-KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
-                      const KrylovOptions& options) {
-  require_system(a, b, "bicgstab");
+template <typename System, typename Precond>
+KrylovResult run_bicgstab(const System& a, const Precond& precond,
+                          const Vector& b, Vector x,
+                          const KrylovOptions& options, SolveWorkspace& ws) {
   const std::size_t n = b.size();
-
-  std::optional<SolveWorkspace> local_ws;
-  SolveWorkspace* ws =
-      options.workspace != nullptr ? options.workspace : &local_ws.emplace();
-
   KrylovResult result;
-  const auto precond = make_preconditioner(options.precond, a);
-
-  Vector x = options.initial_guess != nullptr ? *options.initial_guess
-                                              : Vector(n, 0.0);
-  if (x.size() != n) {
-    throw std::invalid_argument("bicgstab: initial guess size mismatch");
-  }
-
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
     result.x.assign(n, 0.0);
@@ -234,15 +246,15 @@ KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
   const double target = options.tolerance * bnorm;
   const std::size_t max_it = chaos_capped_budget(options.max_iterations);
 
-  Vector& r = ws->sparse_vec(0, n);
-  Vector& rhat = ws->sparse_vec(1, n);
-  Vector& p = ws->sparse_vec(2, n);
-  Vector& v = ws->sparse_vec(3, n);
-  Vector& s = ws->sparse_vec(4, n);
-  Vector& tv = ws->sparse_vec(5, n);
-  Vector& phat = ws->sparse_vec(6, n);
-  Vector& shat = ws->sparse_vec(7, n);
-  Vector& w = ws->sparse_vec(8, n);
+  Vector& r = ws.sparse_vec(0, n);
+  Vector& rhat = ws.sparse_vec(1, n);
+  Vector& p = ws.sparse_vec(2, n);
+  Vector& v = ws.sparse_vec(3, n);
+  Vector& s = ws.sparse_vec(4, n);
+  Vector& tv = ws.sparse_vec(5, n);
+  Vector& phat = ws.sparse_vec(6, n);
+  Vector& shat = ws.sparse_vec(7, n);
+  Vector& w = ws.sparse_vec(8, n);
 
   a.multiply_into(x, w);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - w[i];
@@ -279,7 +291,7 @@ KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
         p[i] = r[i] + beta * (p[i] - omega * v[i]);
       }
     }
-    precond->apply(p, phat);
+    precond.apply(p, phat);
     a.multiply_into(phat, v);
     ++result.iterations;
     const double den = dot(rhat, v);
@@ -312,7 +324,7 @@ KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
       continue;
     }
 
-    precond->apply(s, shat);
+    precond.apply(s, shat);
     a.multiply_into(shat, tv);
     ++result.iterations;
     const double tt = dot(tv, tv);
@@ -358,6 +370,31 @@ KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
   return result;
 }
 
+}  // namespace
+
+KrylovResult gmres(const CsrMatrix& a, const Vector& b,
+                   const KrylovOptions& options) {
+  require_system(a, b, "gmres");
+  std::optional<SolveWorkspace> local_ws;
+  SolveWorkspace& ws =
+      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
+  const auto precond = make_preconditioner(options.precond, a);
+  return run_gmres(a, *precond, b, start_iterate(options, b.size(), 0.0, "gmres"),
+                   options, ws);
+}
+
+KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
+                      const KrylovOptions& options) {
+  require_system(a, b, "bicgstab");
+  std::optional<SolveWorkspace> local_ws;
+  SolveWorkspace& ws =
+      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
+  const auto precond = make_preconditioner(options.precond, a);
+  return run_bicgstab(a, *precond, b,
+                      start_iterate(options, b.size(), 0.0, "bicgstab"), options,
+                      ws);
+}
+
 CsrMatrix stationary_system(const CsrMatrix& q) {
   if (q.rows() != q.cols() || q.rows() == 0) {
     throw std::invalid_argument(
@@ -401,6 +438,17 @@ CsrMatrix stationary_system(const CsrMatrix& q) {
 
 namespace {
 
+// The stationary solution's finish: clamp tiny negative round-off,
+// then renormalize (guarded so a diverged iterate is returned as-is).
+void clamp_and_normalize(Vector& x) {
+  double sum = 0.0;
+  for (double& pr : x) {
+    if (pr < 0.0 && pr > -1e-12) pr = 0.0;
+    sum += pr;
+  }
+  if (sum > 0.0 && std::isfinite(sum)) normalize_to_sum_one(x);
+}
+
 KrylovResult solve_stationary(const CsrMatrix& q, const KrylovOptions& options,
                               bool use_gmres) {
   const CsrMatrix a = stationary_system(q);
@@ -412,15 +460,41 @@ KrylovResult solve_stationary(const CsrMatrix& q, const KrylovOptions& options,
   if (opts.initial_guess == nullptr) opts.initial_guess = &guess;
 
   KrylovResult result = use_gmres ? gmres(a, b, opts) : bicgstab(a, b, opts);
+  clamp_and_normalize(result.x);
+  return result;
+}
 
-  // Clamp tiny negative round-off, then renormalize (guarded so a
-  // diverged iterate is returned as-is).
-  double sum = 0.0;
-  for (double& pr : result.x) {
-    if (pr < 0.0 && pr > -1e-12) pr = 0.0;
-    sum += pr;
+// The workspace slot of a plan solve's right-hand side b = e_{n-1};
+// the methods use slots 0-8.
+constexpr std::size_t kRhsSlot = 9;
+
+// solve_stationary(q, ...) on a plan: the same b, starting iterate,
+// preconditioner and method, with the numeric factorization standing
+// in for make_preconditioner.
+KrylovResult solve_stationary(KrylovPlan& plan, const KrylovOptions& options,
+                              bool use_gmres) {
+  const std::size_t n = plan.rows();
+  if (n == 0) {
+    throw std::invalid_argument("Krylov plan solve: the plan has no layout");
   }
-  if (sum > 0.0 && std::isfinite(sum)) normalize_to_sum_one(result.x);
+  std::optional<SolveWorkspace> local_ws;
+  SolveWorkspace& ws =
+      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
+  plan.factor(options.precond);
+  Vector& b = ws.sparse_vec(kRhsSlot, n);
+  b[n - 1] = 1.0;
+  // The plan is both the system and its preconditioner.
+  KrylovResult result =
+      use_gmres ? run_gmres(plan, plan, b,
+                            start_iterate(options, n, 1.0 / static_cast<double>(n),
+                                          "gmres"),
+                            options, ws)
+                : run_bicgstab(plan, plan, b,
+                               start_iterate(options, n,
+                                             1.0 / static_cast<double>(n),
+                                             "bicgstab"),
+                               options, ws);
+  clamp_and_normalize(result.x);
   return result;
 }
 
@@ -434,6 +508,15 @@ KrylovResult gmres_stationary(const CsrMatrix& q,
 KrylovResult bicgstab_stationary(const CsrMatrix& q,
                                  const KrylovOptions& options) {
   return solve_stationary(q, options, /*use_gmres=*/false);
+}
+
+KrylovResult gmres_stationary(KrylovPlan& plan, const KrylovOptions& options) {
+  return solve_stationary(plan, options, /*use_gmres=*/true);
+}
+
+KrylovResult bicgstab_stationary(KrylovPlan& plan,
+                                 const KrylovOptions& options) {
+  return solve_stationary(plan, options, /*use_gmres=*/false);
 }
 
 }  // namespace rascal::linalg

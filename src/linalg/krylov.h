@@ -2,8 +2,8 @@
 //
 // The dense solvers (gth.h, lu.h) hold an n x n Matrix — 8 n^2 bytes
 // — which stops being an option around 10^4 states.  The Krylov
-// methods here touch A only through CsrMatrix::multiply_into, so a
-// million-state k-of-n replication model solves in O(nnz) memory.
+// methods here touch A only through a CSR matvec, so a million-state
+// k-of-n replication model solves in O(nnz) memory.
 //
 // Both methods are right-preconditioned (they solve A M^{-1} y = b,
 // x = M^{-1} y), so the residual they monitor is the true residual of
@@ -21,6 +21,7 @@
 
 #include <cstddef>
 
+#include "linalg/krylov_plan.h"
 #include "linalg/precond.h"
 #include "linalg/sparse.h"
 #include "linalg/workspace.h"
@@ -33,7 +34,8 @@ struct KrylovOptions {
   std::size_t max_iterations = 20000;
 
   /// GMRES(m) inner subspace dimension before a restart (ignored by
-  /// BiCGStab).  Memory is (restart + 1) basis vectors of length n.
+  /// BiCGStab).  Memory is at most (restart + 1) basis vectors of
+  /// length n; a vector is sized when GMRES first reaches it.
   std::size_t restart = 60;
 
   /// Convergence: ||b - A x||_2 <= tolerance * ||b||_2.
@@ -83,10 +85,23 @@ struct KrylovResult {
 /// Stationary distribution of the CTMC generator Q via GMRES /
 /// BiCGStab on the augmented system, started from the uniform
 /// distribution; the solution is clamped and normalized exactly like
-/// the LU reference.
+/// the LU reference.  Builds the system and the preconditioner anew
+/// on every call.
 [[nodiscard]] KrylovResult gmres_stationary(const CsrMatrix& q,
                                             const KrylovOptions& options = {});
 [[nodiscard]] KrylovResult bicgstab_stationary(
     const CsrMatrix& q, const KrylovOptions& options = {});
+
+/// The same solves on a laid-out Krylov plan whose values() hold the
+/// generator's entries (krylov_plan.h): only the numeric
+/// factorization and the method run.  For a plan laid out for Q and
+/// filled with Q's values, bit-identical to the overloads above:
+/// same distribution, iteration count and residual, and the same
+/// exceptions.  Throws std::invalid_argument when the plan has no
+/// layout.
+[[nodiscard]] KrylovResult gmres_stationary(KrylovPlan& plan,
+                                            const KrylovOptions& options = {});
+[[nodiscard]] KrylovResult bicgstab_stationary(
+    KrylovPlan& plan, const KrylovOptions& options = {});
 
 }  // namespace rascal::linalg

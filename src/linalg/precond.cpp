@@ -45,6 +45,14 @@ void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
   z = r;
 }
 
+double jacobi_inverse(double d, std::size_t row) {
+  if (d == 0.0 || !std::isfinite(d)) {
+    throw PrecondError("P002", "jacobi: zero or missing diagonal at row " +
+                                   std::to_string(row));
+  }
+  return 1.0 / d;
+}
+
 JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
   require_square(a, "jacobi");
   const std::size_t n = a.rows();
@@ -60,11 +68,7 @@ JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
         break;
       }
     }
-    if (d == 0.0 || !std::isfinite(d)) {
-      throw PrecondError("P002", "jacobi: zero or missing diagonal at row " +
-                                     std::to_string(r));
-    }
-    inv_diag_[r] = 1.0 / d;
+    inv_diag_[r] = jacobi_inverse(d, r);
   }
 }
 
@@ -74,85 +78,185 @@ void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
   for (std::size_t i = 0; i < n; ++i) z[i] = r[i] * inv_diag_[i];
 }
 
-Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : pattern_(&a) {
-  require_square(a, "ilu0");
-  const std::size_t n = a.rows();
-  const std::vector<std::size_t>& rp = a.row_ptr();
-  const std::vector<std::size_t>& ci = a.col_idx();
+namespace {
 
-  luval_ = a.values();
-  diag_.assign(n, rp[n]);  // sentinel: "no diagonal entry"
+constexpr std::uint32_t kNoPosition = static_cast<std::uint32_t>(-1);
 
-  // iw maps column -> position inside the current row (kNone when the
-  // column is outside the row's pattern); reset incrementally so the
-  // factorization stays O(sum over rows of row-length * work).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> iw(n, kNone);
+}  // namespace
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t b = rp[i];
-    const std::size_t e = rp[i + 1];
-    if (b == e) {
-      throw PrecondError("P003",
-                         "ilu0: empty row " + std::to_string(i) +
-                             " (no entries; the pattern cannot be factored)");
+template <typename Index>
+void Ilu0Factors::start(CsrPatternView<Index> pattern) {
+  require_32bit_indices(pattern.col_idx.size(), "ilu0");
+  diag_.assign(pattern.rows(), kNoPosition);
+  updates_.clear();
+  bad_row_ = pattern.rows();
+}
+
+template <bool kFactor, typename Index>
+bool Ilu0Factors::eliminate_row(CsrPatternView<Index> pattern, std::size_t i,
+                                std::vector<std::uint32_t>& iw) {
+  const std::span<const Index> rp = pattern.row_ptr;
+  const std::span<const Index> ci = pattern.col_idx;
+  const auto b = static_cast<std::uint32_t>(rp[i]);
+  const auto e = static_cast<std::uint32_t>(rp[i + 1]);
+  if (b == e) {
+    bad_row_ = i;
+    return false;
+  }
+  for (std::uint32_t k = b; k < e; ++k) iw[ci[k]] = k;
+
+  // The strictly-lower entries of row i are eliminated in column order
+  // (the row is column-sorted); each one updates only the positions of
+  // its pivot row's upper part that lie inside row i's own pattern,
+  // the defining ILU(0) restriction.  Row ci[k] was eliminated
+  // earlier, so its pivot is present (and, when factoring, nonzero).
+  for (std::uint32_t k = b; k < e && ci[k] < i; ++k) {
+    const std::size_t col = ci[k];
+    double factor = 0.0;
+    std::size_t count_at = 0;
+    if constexpr (kFactor) {
+      lu_[k] /= lu_[diag_[col]];
+      factor = lu_[k];
+    } else {
+      count_at = updates_.size();
+      updates_.push_back(0);
     }
-    for (std::size_t k = b; k < e; ++k) iw[ci[k]] = k;
-
-    // Eliminate the strictly-lower entries of row i in column order
-    // (the row is column-sorted), updating only positions inside the
-    // row's own pattern — the defining ILU(0) restriction.
-    for (std::size_t k = b; k < e && ci[k] < i; ++k) {
-      const std::size_t col = ci[k];
-      const std::size_t dk = diag_[col];
-      // Row `col` was processed earlier, so its diagonal is known
-      // present and nonzero.
-      luval_[k] /= luval_[dk];
-      const double factor = luval_[k];
-      for (std::size_t kk = dk + 1; kk < rp[col + 1]; ++kk) {
-        const std::size_t pos = iw[ci[kk]];
-        if (pos != kNone) luval_[pos] -= factor * luval_[kk];
+    for (std::uint32_t kk = diag_[col] + 1; kk < rp[col + 1]; ++kk) {
+      const std::uint32_t pos = iw[ci[kk]];
+      if (pos == kNoPosition) continue;
+      if constexpr (kFactor) {
+        lu_[pos] -= factor * lu_[kk];
+      } else {
+        updates_.push_back(pos);
+        updates_.push_back(kk);
+        ++updates_[count_at];
       }
     }
+  }
+  const std::uint32_t di = iw[i];
+  for (std::uint32_t k = b; k < e; ++k) iw[ci[k]] = kNoPosition;
+  if (di == kNoPosition) {
+    bad_row_ = i;
+    return false;
+  }
+  diag_[i] = di;
+  return true;
+}
 
-    const std::size_t di = iw[i];
-    if (di == kNone || luval_[di] == 0.0 || !std::isfinite(luval_[di])) {
-      for (std::size_t k = b; k < e; ++k) iw[ci[k]] = kNone;
+template <typename Index>
+void Ilu0Factors::check_row(CsrPatternView<Index> pattern,
+                            std::size_t i) const {
+  if (i == bad_row_) {
+    if (pattern.row_ptr[i] == pattern.row_ptr[i + 1]) {
       throw PrecondError(
-          "P004", "ilu0: zero pivot at row " + std::to_string(i) +
-                      (di == kNone ? " (diagonal missing from the pattern)"
-                                   : " (diagonal eliminated to zero)"));
+          "P003", "ilu0: empty row " + std::to_string(i) +
+                      " (no entries; the pattern cannot be factored)");
     }
-    diag_[i] = di;
-    for (std::size_t k = b; k < e; ++k) iw[ci[k]] = kNone;
+    throw PrecondError("P004", "ilu0: zero pivot at row " + std::to_string(i) +
+                                   " (diagonal missing from the pattern)");
+  }
+  const double pivot = lu_[diag_[i]];
+  if (pivot == 0.0 || !std::isfinite(pivot)) {
+    throw PrecondError("P004", "ilu0: zero pivot at row " + std::to_string(i) +
+                                   " (diagonal eliminated to zero)");
   }
 }
 
-void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
-  const CsrMatrix& a = *pattern_;
-  const std::size_t n = a.rows();
-  const std::vector<std::size_t>& rp = a.row_ptr();
-  const std::vector<std::size_t>& ci = a.col_idx();
+template <typename Index>
+void Ilu0Factors::analyze(CsrPatternView<Index> pattern) {
+  start(pattern);
+  // iw maps column -> position inside the current row (kNoPosition
+  // when the column is outside the row's pattern); reset per row so
+  // the pass stays O(sum over rows of row-length * work).
+  std::vector<std::uint32_t> iw(pattern.rows(), kNoPosition);
+  for (std::size_t i = 0; i < pattern.rows(); ++i) {
+    if (!eliminate_row<false>(pattern, i, iw)) return;
+  }
+}
+
+template <typename Index>
+void Ilu0Factors::factor(CsrPatternView<Index> pattern,
+                         std::span<const double> values) {
+  const std::span<const Index> rp = pattern.row_ptr;
+  const std::span<const Index> ci = pattern.col_idx;
+  lu_.assign(values.begin(), values.end());
+  const std::uint32_t* update = updates_.data();
+  for (std::size_t i = 0; i < pattern.rows(); ++i) {
+    if (i != bad_row_) {
+      // The recorded updates, with eliminate_row<true>'s arithmetic.
+      for (auto k = static_cast<std::uint32_t>(rp[i]); k < diag_[i]; ++k) {
+        lu_[k] /= lu_[diag_[ci[k]]];
+        const double factor = lu_[k];
+        const std::uint32_t count = *update++;
+        for (std::uint32_t u = 0; u < count; ++u, update += 2) {
+          lu_[update[0]] -= factor * lu_[update[1]];
+        }
+      }
+    }
+    check_row(pattern, i);
+  }
+}
+
+template <typename Index>
+void Ilu0Factors::factor_once(CsrPatternView<Index> pattern,
+                              std::span<const double> values) {
+  start(pattern);
+  lu_.assign(values.begin(), values.end());
+  std::vector<std::uint32_t> iw(pattern.rows(), kNoPosition);
+  for (std::size_t i = 0; i < pattern.rows(); ++i) {
+    (void)eliminate_row<true>(pattern, i, iw);
+    check_row(pattern, i);
+  }
+}
+
+template <typename Index>
+void Ilu0Factors::solve(CsrPatternView<Index> pattern, const Vector& r,
+                        Vector& z) const {
+  const std::size_t n = pattern.rows();
+  const Index* rp = pattern.row_ptr.data();
+  const Index* ci = pattern.col_idx.data();
+  const std::uint32_t* diag = diag_.data();
+  const double* lu = lu_.data();
   z.resize(n);
+  double* zp = z.data();
 
   // Forward solve L y = r (L unit lower triangular, stored strictly
   // below the diagonal), written into z.
   for (std::size_t i = 0; i < n; ++i) {
     double acc = r[i];
-    for (std::size_t k = rp[i]; k < diag_[i]; ++k) {
-      acc -= luval_[k] * z[ci[k]];
-    }
-    z[i] = acc;
+    for (std::size_t k = rp[i]; k < diag[i]; ++k) acc -= lu[k] * zp[ci[k]];
+    zp[i] = acc;
   }
   // Backward solve U z = y (U upper triangular including the
   // diagonal).
   for (std::size_t i = n; i-- > 0;) {
-    double acc = z[i];
-    for (std::size_t k = diag_[i] + 1; k < rp[i + 1]; ++k) {
-      acc -= luval_[k] * z[ci[k]];
+    double acc = zp[i];
+    for (std::size_t k = std::size_t{diag[i]} + 1; k < rp[i + 1]; ++k) {
+      acc -= lu[k] * zp[ci[k]];
     }
-    z[i] = acc / luval_[diag_[i]];
+    zp[i] = acc / lu[diag[i]];
   }
+}
+
+// The Krylov plan factors 32-bit patterns in two passes; a
+// CsrMatrix's preconditioner factors its std::size_t pattern once.
+template void Ilu0Factors::analyze(CsrPatternView<std::uint32_t>);
+template void Ilu0Factors::factor(CsrPatternView<std::uint32_t>,
+                                  std::span<const double>);
+template void Ilu0Factors::solve(CsrPatternView<std::uint32_t>,
+                                 const Vector&, Vector&) const;
+template void Ilu0Factors::factor_once(CsrPatternView<std::size_t>,
+                                       std::span<const double>);
+template void Ilu0Factors::solve(CsrPatternView<std::size_t>, const Vector&,
+                                 Vector&) const;
+
+Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : pattern_(&a) {
+  require_square(a, "ilu0");
+  factors_.factor_once(a.pattern(), a.values());
+}
+
+void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
+  factors_.solve(pattern_->pattern(), r, z);
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PrecondKind kind,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace rascal::linalg {
 
@@ -243,6 +245,13 @@ std::vector<std::pair<std::size_t, double>> CsrMatrix::row(
     out.emplace_back(col_idx_[k], values_[k]);
   }
   return out;
+}
+
+void require_32bit_indices(std::size_t count, const char* who) {
+  if (count >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(std::string(who) +
+                            ": too large for 32-bit indices");
+  }
 }
 
 }  // namespace rascal::linalg

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -13,6 +15,20 @@ struct Triplet {
   std::size_t row = 0;
   std::size_t col = 0;
   double value = 0.0;
+};
+
+/// A view of a square CSR sparsity pattern: row r occupies
+/// [row_ptr[r], row_ptr[r+1]) of col_idx, column-sorted with unique
+/// columns.  CsrMatrix indexes its pattern with std::size_t; the
+/// Krylov plan (krylov_plan.h) keeps its own with 32-bit indices.
+template <typename Index>
+struct CsrPatternView {
+  std::span<const Index> row_ptr;
+  std::span<const Index> col_idx;
+
+  [[nodiscard]] std::size_t rows() const noexcept {
+    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
+  }
 };
 
 /// Immutable CSR matrix.  Duplicate (row, col) triplets are summed
@@ -83,6 +99,9 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
   }
+  [[nodiscard]] CsrPatternView<std::size_t> pattern() const noexcept {
+    return {row_ptr_, col_idx_};
+  }
 
  private:
   void build(const std::vector<Triplet>& triplets);
@@ -93,5 +112,9 @@ class CsrMatrix {
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
 };
+
+/// Throws std::length_error unless `count` rows or entries fit 32-bit
+/// indices, with one value to spare for a "no position" marker.
+void require_32bit_indices(std::size_t count, const char* who);
 
 }  // namespace rascal::linalg

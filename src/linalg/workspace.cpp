@@ -9,10 +9,8 @@ Vector& SolveWorkspace::sparse_vec(std::size_t slot, std::size_t n) {
   return v;
 }
 
-std::vector<Vector>& SolveWorkspace::krylov_basis(std::size_t count,
-                                                  std::size_t n) {
+std::vector<Vector>& SolveWorkspace::krylov_basis(std::size_t count) {
   if (basis_.size() < count) basis_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) basis_[i].assign(n, 0.0);
   return basis_;
 }
 

@@ -109,7 +109,11 @@ int usage() {
          "  rascal_cli solve  MODEL.rasc [--set NAME=VALUE ...] "
          "[--method gth|gmres|bicgstab]\n"
          "             [--precond none|jacobi|ilu0]"
-         " [--sparse-threshold N]\n"
+         " [--sparse-threshold N] [--max-iter-budget N]\n"
+         "             (the four solver flags also apply to states, sweep"
+         " and uncertainty;\n"
+         "              batch and serve refuse them: a request sets"
+         " its own)\n"
          "  rascal_cli lint   MODEL.rasc [--set NAME=VALUE ...] [--json]"
          " [--werror]\n"
          "             (static analysis; exit 3 on errors, or on"
@@ -158,8 +162,6 @@ int usage() {
          "    --stats        print the telemetry summary to stderr\n"
          "    --deadline SECS       cooperative wall-clock budget;"
          " drains and exits 4\n"
-         "    --max-iter-budget N   cap Krylov-solver iterations"
-         " per solve\n"
          "    --max-attempts N      attempts per solve in solve, states,"
          " sweep, batch, serve\n"
          "                          (default 3): retry, then the fallback"
@@ -185,6 +187,9 @@ struct Arguments {
   expr::ParameterSet overrides;
   // --method, --precond, --sparse-threshold, --max-iter-budget
   serve::SolveSpec spec;
+  // Which of those four flags were given: batch and serve refuse them,
+  // because each request carries its own solve spec.
+  std::vector<std::string> spec_flags;
   // --max-attempts and the batch/serve admission flags; the retry
   // bound governs the solves of solve, states and sweep too
   serve::SupervisionOptions supervision;
@@ -311,6 +316,10 @@ bool parse_arguments(int argc, char** argv, Arguments& args) {
       const char* value = next();
       return value != nullptr && parse_size(value, out);
     };
+    if (flag == "--method" || flag == "--precond" ||
+        flag == "--sparse-threshold" || flag == "--max-iter-budget") {
+      args.spec_flags.push_back(flag);
+    }
     if (flag == "--set") {
       const char* value = next();
       if (!value || !parse_set(value, args.overrides)) return false;
@@ -883,6 +892,18 @@ int run_campaign_cmd(const Arguments& args) {
 // all go to stderr, so the sink is byte-comparable across thread
 // counts, cache temperature, and kill/resume.
 int run_serve_cmd(const Arguments& args) {
+  // A batch request names its own solver; a command-line default would
+  // be silently ignored, so it is refused.
+  if (!args.spec_flags.empty()) {
+    const std::string& flag = args.spec_flags.front();
+    const char* field = flag == "--max-iter-budget" ? "max_iterations"
+                        : flag == "--method"        ? "method"
+                        : flag == "--precond"       ? "precond"
+                                                    : "sparse_threshold";
+    std::cerr << args.command << " does not take " << flag
+              << ": set the \"" << field << "\" field of each request\n";
+    return usage();
+  }
   std::vector<std::string> lines;
   if (args.command == "serve") {
     lines = serve::read_request_lines(std::cin);
