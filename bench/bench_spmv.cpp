@@ -37,7 +37,7 @@ linalg::CsrMatrix banded(std::size_t n) {
     }
     triplets.push_back({i, i, -off_sum});
   }
-  return {n, n, std::move(triplets)};
+  return {n, n, triplets};
 }
 
 void BM_CsrLeftMultiply(benchmark::State& state) {

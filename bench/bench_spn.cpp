@@ -3,8 +3,8 @@
 // growing synthetic nets.  google-benchmark binary.
 #include <benchmark/benchmark.h>
 
+#include "check/spn_variants.h"
 #include "models/params.h"
-#include "models/spn_variants.h"
 #include "spn/reachability.h"
 
 namespace {
@@ -13,8 +13,8 @@ using namespace rascal;
 
 void BM_HadbPairGeneration(benchmark::State& state) {
   const auto params = models::default_parameters();
-  const auto net = models::hadb_pair_spn(params);
-  const auto reward = models::hadb_pair_spn_reward();
+  const auto net = check::hadb_pair_spn(params);
+  const auto reward = check::hadb_pair_spn_reward();
   for (auto _ : state) {
     benchmark::DoNotOptimize(spn::generate_ctmc(net, reward));
   }
@@ -24,8 +24,8 @@ BENCHMARK(BM_HadbPairGeneration);
 void BM_AppServerGeneration(benchmark::State& state) {
   const auto params = models::default_parameters();
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto net = models::app_server_spn(n, params);
-  const auto reward = models::app_server_spn_reward();
+  const auto net = check::app_server_spn(n, params);
+  const auto reward = check::app_server_spn_reward();
   std::size_t states_generated = 0;
   for (auto _ : state) {
     const auto generated = spn::generate_ctmc(net, reward);

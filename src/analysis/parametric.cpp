@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 
 namespace rascal::analysis {
 

@@ -5,38 +5,9 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 
 namespace rascal::analysis {
-
-std::vector<Sensitivity> finite_difference_sensitivities(
-    const ModelFunction& model, const expr::ParameterSet& base,
-    const std::vector<std::string>& parameters, double relative_step,
-    std::size_t threads) {
-  if (!(relative_step > 0.0)) {
-    throw std::invalid_argument(
-        "finite_difference_sensitivities: step must be > 0");
-  }
-  const double y0 = model(base);
-  return core::parallel_map(
-      parameters.size(), core::resolve_threads(threads),
-      [&](std::size_t i) {
-        const std::string& name = parameters[i];
-        const double x0 = base.get(name);
-        const double h =
-            x0 == 0.0 ? relative_step : std::abs(x0) * relative_step;
-        expr::ParameterSet lo = base;
-        expr::ParameterSet hi = base;
-        lo.set(name, x0 - h);
-        hi.set(name, x0 + h);
-        const double dydx = (model(hi) - model(lo)) / (2.0 * h);
-        Sensitivity s;
-        s.parameter = name;
-        s.derivative = dydx;
-        s.elasticity = y0 != 0.0 ? dydx * x0 / y0 : 0.0;
-        return s;
-      });
-}
 
 std::vector<TornadoBar> tornado_analysis(
     const ModelFunction& model, const expr::ParameterSet& base,

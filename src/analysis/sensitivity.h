@@ -1,7 +1,5 @@
 // Local and global sensitivity analysis.
 //
-//  * finite_difference_sensitivities: local partial derivatives and
-//    elasticities around a base point.
 //  * tornado_analysis: metric at each range endpoint, holding the
 //    remaining parameters at base values — ranks which uncertain
 //    parameter moves the output most.
@@ -18,23 +16,6 @@
 #include "stats/sampling.h"
 
 namespace rascal::analysis {
-
-struct Sensitivity {
-  std::string parameter;
-  double derivative = 0.0;  // d(metric)/d(parameter), central difference
-  double elasticity = 0.0;  // (x / y) * dy/dx, scale-free
-};
-
-/// Central-difference sensitivities for each named parameter around
-/// `base`.  `relative_step` scales the perturbation per parameter
-/// (|x| * step, or step when x == 0).  `threads` workers evaluate the
-/// per-parameter stencils (0 = automatic); results are index-ordered,
-/// so any thread count returns identical sensitivities.  threads != 1
-/// requires `model` to be safe to call concurrently.
-[[nodiscard]] std::vector<Sensitivity> finite_difference_sensitivities(
-    const ModelFunction& model, const expr::ParameterSet& base,
-    const std::vector<std::string>& parameters, double relative_step = 1e-4,
-    std::size_t threads = 1);
 
 struct TornadoBar {
   std::string parameter;

@@ -86,9 +86,8 @@ struct OracleOptions {
     const OracleOptions& options = {});
 
 /// Bit-identity gate for the allocation-free solve hot path: solves
-/// through a reused (and deliberately dirty) SolveWorkspace and
-/// batched multi-RHS interval rewards must all reproduce the
-/// fresh-allocation path exactly — tolerance zero —
+/// through a reused (and deliberately dirty) SolveWorkspace must all
+/// reproduce the fresh-allocation path exactly — tolerance zero —
 /// across every production steady-state method (GTH, GMRES, BiCGStab,
 /// all through one workspace) and both transient evaluators
 /// (distribution and interval reward) at horizon `t`.

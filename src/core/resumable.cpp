@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <exception>
 
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "resil/chaos.h"

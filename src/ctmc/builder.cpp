@@ -25,18 +25,6 @@ CtmcBuilder& CtmcBuilder::rate(StateId from, StateId to, double value) {
   return *this;
 }
 
-CtmcBuilder& CtmcBuilder::rate(const std::string& from, const std::string& to,
-                               double value) {
-  return rate(id_of(from), id_of(to), value);
-}
-
-StateId CtmcBuilder::id_of(const std::string& name) const {
-  for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].name == name) return i;
-  }
-  throw std::invalid_argument("CtmcBuilder: no state named '" + name + "'");
-}
-
 Ctmc CtmcBuilder::build() const { return Ctmc(states_, transitions_); }
 
 struct SymbolicCtmc::Compiled {

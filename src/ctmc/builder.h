@@ -42,10 +42,6 @@ class CtmcBuilder {
   /// negative rates are rejected by build().
   CtmcBuilder& rate(StateId from, StateId to, double value);
 
-  /// Name-based overload; both states must already be declared.
-  CtmcBuilder& rate(const std::string& from, const std::string& to,
-                    double value);
-
   [[nodiscard]] std::size_t num_states() const noexcept {
     return states_.size();
   }
@@ -54,8 +50,6 @@ class CtmcBuilder {
   [[nodiscard]] Ctmc build() const;
 
  private:
-  [[nodiscard]] StateId id_of(const std::string& name) const;
-
   std::vector<State> states_;
   std::vector<Transition> transitions_;
 };

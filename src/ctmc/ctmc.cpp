@@ -189,15 +189,6 @@ bool Ctmc::is_irreducible() const {
   return lint::tarjan_scc(edges).num_components() == 1;
 }
 
-std::vector<StateId> Ctmc::states_with_reward_at_least(
-    double threshold) const {
-  std::vector<StateId> out;
-  for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].reward >= threshold) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<StateId> Ctmc::states_with_reward_below(double threshold) const {
   std::vector<StateId> out;
   for (StateId i = 0; i < states_.size(); ++i) {

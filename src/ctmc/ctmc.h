@@ -84,9 +84,6 @@ class Ctmc {
   /// True when every state can reach every other state.
   [[nodiscard]] bool is_irreducible() const;
 
-  /// States with reward >= threshold (default: "up" states).
-  [[nodiscard]] std::vector<StateId> states_with_reward_at_least(
-      double threshold = 1.0) const;
   /// States with reward below threshold (default: "down" states).
   [[nodiscard]] std::vector<StateId> states_with_reward_below(
       double threshold = 1.0) const;

@@ -80,51 +80,6 @@ bool is_lumpable(const Ctmc& chain, const Partition& partition,
   return true;
 }
 
-Ctmc lump(const Ctmc& chain, const Partition& partition,
-          const std::vector<std::string>& block_names, double tolerance) {
-  std::string violation;
-  if (!is_lumpable(chain, partition, tolerance, &violation)) {
-    throw std::invalid_argument("lump: partition is not lumpable: " +
-                                violation);
-  }
-  if (!block_names.empty() && block_names.size() != partition.size()) {
-    throw std::invalid_argument("lump: block_names arity mismatch");
-  }
-  const auto block_of = block_index(chain, partition);
-
-  std::vector<State> states;
-  states.reserve(partition.size());
-  for (std::size_t b = 0; b < partition.size(); ++b) {
-    if (partition[b].empty()) {
-      throw std::invalid_argument("lump: empty block");
-    }
-    const double reward = chain.reward(partition[b][0]);
-    for (StateId s : partition[b]) {
-      if (chain.reward(s) != reward) {
-        throw std::invalid_argument(
-            "lump: block mixes different rewards (state '" +
-            chain.state_name(s) + "')");
-      }
-    }
-    states.push_back({block_names.empty()
-                          ? "lump:" + chain.state_name(partition[b][0])
-                          : block_names[b],
-                      reward});
-  }
-
-  std::vector<Transition> transitions;
-  for (std::size_t b = 0; b < partition.size(); ++b) {
-    const auto rates =
-        aggregate_rates(chain, partition[b][0], block_of, partition.size());
-    for (std::size_t j = 0; j < partition.size(); ++j) {
-      if (j != b && rates[j] > 0.0) {
-        transitions.push_back({b, j, rates[j]});
-      }
-    }
-  }
-  return Ctmc(std::move(states), std::move(transitions));
-}
-
 Partition coarsest_ordinary_lumping(const Ctmc& chain, double tolerance) {
   // Start from reward classes, then refine: states stay together only
   // while their aggregate rates toward every current block agree.

@@ -10,7 +10,8 @@
 // The paper's models are quotients of this kind: Figure 3 lumps
 // "node A down / node B down" into one degraded state, and the
 // N-instance occupancy model lumps instance identities into counts.
-// tests/test_lumping.cpp verifies both constructions explicitly.
+// tests/test_lumping.cpp verifies both constructions explicitly, with
+// the quotient builder check::lump (check/reference_twins.h).
 #pragma once
 
 #include <string>
@@ -31,14 +32,6 @@ using Partition = std::vector<std::vector<StateId>>;
 [[nodiscard]] bool is_lumpable(const Ctmc& chain, const Partition& partition,
                                double tolerance = 1e-9,
                                std::string* violation = nullptr);
-
-/// Builds the quotient chain.  Block rewards must be uniform within
-/// each block (throws std::invalid_argument otherwise); block names
-/// default to the name of the block's first state prefixed with
-/// "lump:".  Throws std::invalid_argument when not lumpable.
-[[nodiscard]] Ctmc lump(const Ctmc& chain, const Partition& partition,
-                        const std::vector<std::string>& block_names = {},
-                        double tolerance = 1e-9);
 
 /// Coarsest ordinary lumping that also respects rewards: iterative
 /// partition refinement starting from reward classes.  Always returns

@@ -12,11 +12,10 @@ namespace {
 // slot indices stay uniform even when keys share low bits.
 constexpr std::uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
 
-[[nodiscard]] std::size_t ceil_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+// Shard count of a SharedSolveCache (a power of two, halved while it
+// exceeds the capacity).  One mutex per shard keeps workers out of
+// each other's way.
+constexpr std::size_t kShards = 16;
 
 }  // namespace
 
@@ -49,7 +48,7 @@ std::uint64_t steady_state_key(const Ctmc& chain, SteadyStateMethod method,
 
 SharedSolveCache::SharedSolveCache(const Config& config) {
   if (config.capacity == 0) return;
-  std::size_t shard_count = ceil_pow2(config.shards == 0 ? 1 : config.shards);
+  std::size_t shard_count = kShards;
   while (shard_count > 1 && shard_count > config.capacity) shard_count >>= 1;
   slots_per_shard_ = (config.capacity + shard_count - 1) / shard_count;
   shards_ = std::vector<Shard>(shard_count);
@@ -125,14 +124,6 @@ SharedSolveCache::Stats SharedSolveCache::stats() const {
     out.occupancy += shard.used;
   }
   return out;
-}
-
-void SharedSolveCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (Slot& slot : shard.slots) slot.used = false;
-    shard.used = 0;
-  }
 }
 
 // ---- SolveCache -------------------------------------------------------

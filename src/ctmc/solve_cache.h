@@ -56,10 +56,10 @@ namespace rascal::ctmc {
                                              const SolveControl& control);
 
 /// Process-wide concurrent solve cache: a fixed number of slots split
-/// across mutex-guarded shards.  Each key owns exactly one slot
-/// (multiplicative hash), so memory is bounded by `capacity` stored
-/// distributions and an insert colliding with a live different-key
-/// slot evicts it (counted).  Lookups copy the stored SteadyState out
+/// across 16 mutex-guarded shards (fewer when the capacity is
+/// smaller).  Each key owns exactly one slot (multiplicative hash), so
+/// memory is bounded by `capacity` stored distributions and an insert
+/// colliding with a live different-key slot evicts it (counted).  Lookups copy the stored SteadyState out
 /// under the shard lock, so a returned value is never touched by a
 /// concurrent eviction.
 class SharedSolveCache {
@@ -68,10 +68,6 @@ class SharedSolveCache {
     /// Total slot count across all shards (0 disables the cache:
     /// lookups miss, inserts drop).  Bounds resident results.
     std::size_t capacity = 1024;
-    /// Shard count (rounded up to a power of two, capped by
-    /// capacity).  One mutex per shard keeps workers out of each
-    /// other's way.
-    std::size_t shards = 16;
   };
 
   /// Point-in-time statistics.  Counters are cumulative over the
@@ -104,9 +100,6 @@ class SharedSolveCache {
   void insert(std::uint64_t key, const Ctmc& chain, const SteadyState& value);
 
   [[nodiscard]] Stats stats() const;
-
-  /// Drops every stored entry (slots keep their memory reserved).
-  void clear();
 
  private:
   struct Slot {

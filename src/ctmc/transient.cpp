@@ -137,49 +137,24 @@ TransientResult transient_distribution(const Ctmc& chain,
 IntervalRewardResult expected_interval_reward(
     const Ctmc& chain, const linalg::Vector& initial, double t,
     const TransientOptions& options) {
-  linalg::Vector rewards(chain.num_states());
-  for (StateId i = 0; i < chain.num_states(); ++i) {
-    rewards[i] = chain.reward(i);
-  }
-  return expected_interval_rewards(chain, initial, t, {std::move(rewards)},
-                                   options)
-      .front();
-}
-
-std::vector<IntervalRewardResult> expected_interval_rewards(
-    const Ctmc& chain, const linalg::Vector& initial, double t,
-    const std::vector<linalg::Vector>& reward_sets,
-    const TransientOptions& options) {
   const obs::Span span("ctmc.interval_reward");
   check_initial(chain, initial);
   if (!(t > 0.0)) {
     throw std::invalid_argument("expected_interval_reward: requires t > 0");
   }
-  if (reward_sets.empty()) {
-    throw std::invalid_argument(
-        "expected_interval_rewards: need at least one reward vector");
-  }
-  const std::size_t n = chain.num_states();
-  for (const linalg::Vector& rewards : reward_sets) {
-    if (rewards.size() != n) {
-      throw std::invalid_argument(
-          "expected_interval_rewards: reward vector size mismatch");
-    }
-  }
   if (options.validate) {
     throw_if_errors(validate_for_transient(chain, t, options.max_terms));
   }
-  std::vector<IntervalRewardResult> results(reward_sets.size());
+  const std::size_t n = chain.num_states();
+  linalg::Vector rewards(n);
+  for (StateId i = 0; i < n; ++i) rewards[i] = chain.reward(i);
+  IntervalRewardResult result;
   if (chain.max_exit_rate() == 0.0) {
-    for (std::size_t j = 0; j < reward_sets.size(); ++j) {
-      double reward = 0.0;
-      for (StateId i = 0; i < n; ++i) {
-        reward += initial[i] * reward_sets[j][i];
-      }
-      results[j].accumulated_reward = reward * t;
-      results[j].time_averaged = reward;
-    }
-    return results;
+    double reward = 0.0;
+    for (StateId i = 0; i < n; ++i) reward += initial[i] * rewards[i];
+    result.accumulated_reward = reward * t;
+    result.time_averaged = reward;
+    return result;
   }
   const double lambda = chain.max_exit_rate() * 1.02;
   const double lt = lambda * t;
@@ -187,8 +162,7 @@ std::vector<IntervalRewardResult> expected_interval_rewards(
 
   // integral_0^t pi(u) du = (1/Lambda) sum_k (1 - W_k) v_k, where
   // W_k is the Poisson CDF at k.  We accumulate the reward-weighted
-  // version directly, one running integral per reward set over a
-  // single shared walk (the Poisson terms do not depend on rewards).
+  // version directly.
   std::optional<linalg::SolveWorkspace> local_ws;
   linalg::SolveWorkspace* ws =
       options.workspace != nullptr ? options.workspace : &local_ws.emplace();
@@ -196,7 +170,7 @@ std::vector<IntervalRewardResult> expected_interval_rewards(
   std::copy(initial.begin(), initial.end(), v.begin());
   linalg::Vector& vq = ws->sparse_vec(1, 0);
   linalg::Vector& next = ws->sparse_vec(2, 0);
-  std::vector<double> integrals(reward_sets.size(), 0.0);
+  double integral = 0.0;
   double log_w = -lt;
   double cdf = 0.0;
   std::size_t k = 0;
@@ -208,28 +182,21 @@ std::vector<IntervalRewardResult> expected_interval_rewards(
           "expected_interval_reward: truncation point exceeds max_terms");
     }
     if (log_w > kLogUnderflow) cdf += std::exp(log_w);
-    for (std::size_t j = 0; j < reward_sets.size(); ++j) {
-      const double* rj = reward_sets[j].data();
-      double v_reward = 0.0;
-      for (StateId i = 0; i < n; ++i) {
-        v_reward += v[i] * rj[i];
-      }
-      integrals[j] += (1.0 - cdf) * v_reward;
-    }
+    double v_reward = 0.0;
+    for (StateId i = 0; i < n; ++i) v_reward += v[i] * rewards[i];
+    integral += (1.0 - cdf) * v_reward;
     uniformized_step(q, v, lambda, vq, next);
     ++k;
     log_w += std::log(lt) - std::log(static_cast<double>(k));
   }
-  for (std::size_t j = 0; j < reward_sets.size(); ++j) {
-    results[j].accumulated_reward = integrals[j] / lambda;
-    results[j].time_averaged = results[j].accumulated_reward / t;
-    results[j].terms = k;
-  }
+  result.accumulated_reward = integral / lambda;
+  result.time_averaged = result.accumulated_reward / t;
+  result.terms = k;
   if (obs::enabled()) {
     obs::counter("ctmc.transient.solves").add(1);
     obs::counter("ctmc.transient.terms").add(k);
   }
-  return results;
+  return result;
 }
 
 }  // namespace rascal::ctmc

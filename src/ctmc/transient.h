@@ -59,16 +59,4 @@ struct IntervalRewardResult {
     const Ctmc& chain, const linalg::Vector& initial, double t,
     const TransientOptions& options = {});
 
-/// Batched variant: evaluates several per-state reward vectors over
-/// one shared uniformization walk, so K reward sets cost one transient
-/// summation instead of K.  Each reward vector must have one entry per
-/// state.  Entry j of the result is bit-identical to a standalone
-/// expected_interval_reward run on a chain whose state rewards are
-/// reward_sets[j]: the Poisson walk does not depend on rewards, and
-/// each reward accumulation uses the same operation order.
-[[nodiscard]] std::vector<IntervalRewardResult> expected_interval_rewards(
-    const Ctmc& chain, const linalg::Vector& initial, double t,
-    const std::vector<linalg::Vector>& reward_sets,
-    const TransientOptions& options = {});
-
 }  // namespace rascal::ctmc

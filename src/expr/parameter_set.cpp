@@ -17,11 +17,6 @@ double ParameterSet::get(const std::string& name) const {
   return it->second;
 }
 
-double ParameterSet::get_or(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
-}
-
 std::vector<std::string> ParameterSet::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());

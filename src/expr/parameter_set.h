@@ -37,9 +37,6 @@ class ParameterSet {
   /// Throws UnknownParameterError when absent.
   [[nodiscard]] double get(const std::string& name) const;
 
-  [[nodiscard]] double get_or(const std::string& name,
-                              double fallback) const;
-
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
 
   /// Sorted parameter names.

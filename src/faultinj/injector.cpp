@@ -33,15 +33,6 @@ std::string to_string(WorkloadLevel level) {
   return "unknown";
 }
 
-std::string to_string(SystemMode mode) {
-  switch (mode) {
-    case SystemMode::kNormal: return "normal";
-    case SystemMode::kRepair: return "repair";
-    case SystemMode::kDataReorganization: return "data-reorganization";
-  }
-  return "unknown";
-}
-
 double CampaignResult::fir_upper_bound(double confidence) const {
   return stats::imperfect_recovery_upper_bound(trials, successes, confidence);
 }

@@ -42,7 +42,6 @@ enum class WorkloadLevel { kIdle, kModerate, kFullyLoaded };
 /// Rare operating modes combined with the injections ("repair and
 /// data reorganization modes").
 enum class SystemMode { kNormal, kRepair, kDataReorganization };
-[[nodiscard]] std::string to_string(SystemMode mode);
 
 /// Ground-truth behaviour of the simulated recovery machinery.  The
 /// paper's real system recovered 3,287/3,287 injections; with the

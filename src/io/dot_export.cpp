@@ -50,10 +50,4 @@ void write_dot(std::ostream& os, const ctmc::Ctmc& chain,
   os << "}\n";
 }
 
-std::string to_dot(const ctmc::Ctmc& chain, const DotOptions& options) {
-  std::ostringstream os;
-  write_dot(os, chain, options);
-  return os.str();
-}
-
 }  // namespace rascal::io

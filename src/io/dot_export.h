@@ -20,8 +20,4 @@ struct DotOptions {
 void write_dot(std::ostream& os, const ctmc::Ctmc& chain,
                const DotOptions& options = {});
 
-/// Convenience: DOT text as a string.
-[[nodiscard]] std::string to_dot(const ctmc::Ctmc& chain,
-                                 const DotOptions& options = {});
-
 }  // namespace rascal::io

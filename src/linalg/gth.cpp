@@ -69,14 +69,4 @@ Vector gth_stationary(Matrix q) {
   return pi;
 }
 
-Vector gth_stationary_dtmc(const Matrix& p) {
-  if (!p.square()) {
-    throw std::invalid_argument("gth_stationary_dtmc: matrix must be square");
-  }
-  // P - I is a valid generator for GTH (diagonal is ignored anyway).
-  Matrix q = p;
-  for (std::size_t i = 0; i < q.rows(); ++i) q(i, i) -= 1.0;
-  return gth_stationary(std::move(q));
-}
-
 }  // namespace rascal::linalg

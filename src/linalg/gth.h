@@ -31,9 +31,4 @@ namespace rascal::linalg {
 /// whether or not the buffers are recycled.
 void gth_stationary_in(Matrix& q, Vector& pi);
 
-/// Stationary vector of a DTMC transition-probability matrix P
-/// (pi P = pi).  Internally converts to the generator P - I and reuses
-/// gth_stationary.
-[[nodiscard]] Vector gth_stationary_dtmc(const Matrix& p);
-
 }  // namespace rascal::linalg

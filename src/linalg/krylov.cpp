@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "resil/chaos.h"
 
@@ -40,18 +41,6 @@ constexpr double kBreakdownFloor = 1e-280;
 
 bool broke(double denom) {
   return !std::isfinite(denom) || std::abs(denom) < kBreakdownFloor;
-}
-
-// The starting iterate: options.initial_guess, or n copies of `fill`.
-Vector start_iterate(const KrylovOptions& options, std::size_t n, double fill,
-                     const char* who) {
-  Vector x = options.initial_guess != nullptr ? *options.initial_guess
-                                              : Vector(n, fill);
-  if (x.size() != n) {
-    throw std::invalid_argument(std::string(who) +
-                                ": initial guess size mismatch");
-  }
-  return x;
 }
 
 // The methods iterate on any system with y = A x (multiply_into) and
@@ -370,29 +359,32 @@ KrylovResult run_bicgstab(const System& a, const Precond& precond,
   return result;
 }
 
+// GMRES or BiCGStab on A x = b from the iterate x0, preconditioned as
+// options.precond asks.
+KrylovResult solve_from(const CsrMatrix& a, const Vector& b, Vector x0,
+                        const KrylovOptions& options, bool use_gmres) {
+  std::optional<SolveWorkspace> local_ws;
+  SolveWorkspace& ws =
+      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
+  const auto precond = make_preconditioner(options.precond, a);
+  return use_gmres
+             ? run_gmres(a, *precond, b, std::move(x0), options, ws)
+             : run_bicgstab(a, *precond, b, std::move(x0), options, ws);
+}
+
 }  // namespace
 
 KrylovResult gmres(const CsrMatrix& a, const Vector& b,
                    const KrylovOptions& options) {
   require_system(a, b, "gmres");
-  std::optional<SolveWorkspace> local_ws;
-  SolveWorkspace& ws =
-      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
-  const auto precond = make_preconditioner(options.precond, a);
-  return run_gmres(a, *precond, b, start_iterate(options, b.size(), 0.0, "gmres"),
-                   options, ws);
+  return solve_from(a, b, Vector(b.size(), 0.0), options, /*use_gmres=*/true);
 }
 
 KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
                       const KrylovOptions& options) {
   require_system(a, b, "bicgstab");
-  std::optional<SolveWorkspace> local_ws;
-  SolveWorkspace& ws =
-      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
-  const auto precond = make_preconditioner(options.precond, a);
-  return run_bicgstab(a, *precond, b,
-                      start_iterate(options, b.size(), 0.0, "bicgstab"), options,
-                      ws);
+  return solve_from(a, b, Vector(b.size(), 0.0), options,
+                    /*use_gmres=*/false);
 }
 
 CsrMatrix stationary_system(const CsrMatrix& q) {
@@ -455,11 +447,8 @@ KrylovResult solve_stationary(const CsrMatrix& q, const KrylovOptions& options,
   const std::size_t n = q.rows();
   Vector b(n, 0.0);
   b[n - 1] = 1.0;
-  Vector guess(n, 1.0 / static_cast<double>(n));
-  KrylovOptions opts = options;
-  if (opts.initial_guess == nullptr) opts.initial_guess = &guess;
-
-  KrylovResult result = use_gmres ? gmres(a, b, opts) : bicgstab(a, b, opts);
+  KrylovResult result = solve_from(
+      a, b, Vector(n, 1.0 / static_cast<double>(n)), options, use_gmres);
   clamp_and_normalize(result.x);
   return result;
 }
@@ -484,16 +473,10 @@ KrylovResult solve_stationary(KrylovPlan& plan, const KrylovOptions& options,
   Vector& b = ws.sparse_vec(kRhsSlot, n);
   b[n - 1] = 1.0;
   // The plan is both the system and its preconditioner.
+  Vector x0(n, 1.0 / static_cast<double>(n));
   KrylovResult result =
-      use_gmres ? run_gmres(plan, plan, b,
-                            start_iterate(options, n, 1.0 / static_cast<double>(n),
-                                          "gmres"),
-                            options, ws)
-                : run_bicgstab(plan, plan, b,
-                               start_iterate(options, n,
-                                             1.0 / static_cast<double>(n),
-                                             "bicgstab"),
-                               options, ws);
+      use_gmres ? run_gmres(plan, plan, b, std::move(x0), options, ws)
+                : run_bicgstab(plan, plan, b, std::move(x0), options, ws);
   clamp_and_normalize(result.x);
   return result;
 }

@@ -43,9 +43,6 @@ struct KrylovOptions {
 
   PrecondKind precond = PrecondKind::kJacobi;
 
-  /// Optional starting iterate (length n); zeros when null.
-  const Vector* initial_guess = nullptr;
-
   /// Cooperative cancellation, polled once per Krylov iteration (every
   /// matvec); fires as `cancelled = true`, never as nonconvergence.
   const resil::CancellationToken* cancel = nullptr;
@@ -65,7 +62,8 @@ struct KrylovResult {
   bool breakdown = false;  // BiCGStab scalar recurrence broke down
 };
 
-/// Restarted GMRES with modified Gram-Schmidt and Givens rotations.
+/// Restarted GMRES with modified Gram-Schmidt and Givens rotations,
+/// started from x = 0.
 /// Throws std::invalid_argument on shape mismatch and PrecondError
 /// when the preconditioner rejects A's pattern.
 [[nodiscard]] KrylovResult gmres(const CsrMatrix& a, const Vector& b,

@@ -37,7 +37,6 @@ LuDecomposition::LuDecomposition(Matrix a)
         std::swap(lu_(k, c), lu_(pivot_row, c));
       }
       std::swap(perm_[k], perm_[pivot_row]);
-      pivot_sign_ = -pivot_sign_;
     }
     const double pivot = lu_(k, k);
     const double* row_k = &lu_(k, 0);
@@ -92,12 +91,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
     for (std::size_t r = 0; r < n; ++r) x(r, c) = sol[r];
   }
   return x;
-}
-
-double LuDecomposition::determinant() const noexcept {
-  double det = pivot_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 Vector solve_linear_system(Matrix a, const Vector& b) {

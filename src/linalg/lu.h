@@ -18,13 +18,9 @@ class LuDecomposition {
   /// Solves A X = B column by column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// Determinant of A (product of U diagonal with pivot sign).
-  [[nodiscard]] double determinant() const noexcept;
-
  private:
   Matrix lu_;                      // packed L (unit diagonal) and U
   std::vector<std::size_t> perm_;  // row permutation
-  int pivot_sign_ = 1;
 };
 
 /// One-shot convenience: solves A x = b via LU.

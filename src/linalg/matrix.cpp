@@ -1,7 +1,7 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace rascal::linalg {
@@ -90,33 +90,10 @@ Matrix Matrix::multiply(const Matrix& other) const {
   return out;
 }
 
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      os << m(r, c) << (c + 1 < m.cols() ? ", " : "");
-    }
-    os << (r + 1 < m.rows() ? ";\n" : "]");
-  }
-  return os;
-}
-
 double norm2(const Vector& v) noexcept {
   double acc = 0.0;
   for (double x : v) acc += x * x;
   return std::sqrt(acc);
-}
-
-double norm1(const Vector& v) noexcept {
-  double acc = 0.0;
-  for (double x : v) acc += std::abs(x);
-  return acc;
 }
 
 double norm_inf(const Vector& v) noexcept {
@@ -132,15 +109,6 @@ double dot(const Vector& a, const Vector& b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
-}
-
-Vector subtract(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("subtract: length mismatch");
-  }
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
 }
 
 void normalize_to_sum_one(Vector& v) {

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace rascal::linalg {
@@ -69,9 +68,6 @@ class Matrix {
   /// Matrix product.  Throws on dimension mismatch.
   [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
-  /// Max-absolute-entry norm.
-  [[nodiscard]] double max_abs() const noexcept;
-
   bool operator==(const Matrix& other) const = default;
 
  private:
@@ -80,22 +76,14 @@ class Matrix {
   std::vector<double> data_;
 };
 
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
 /// Euclidean norm.
 [[nodiscard]] double norm2(const Vector& v) noexcept;
-
-/// Sum of absolute values.
-[[nodiscard]] double norm1(const Vector& v) noexcept;
 
 /// Max absolute value.
 [[nodiscard]] double norm_inf(const Vector& v) noexcept;
 
 /// Dot product; throws std::invalid_argument on length mismatch.
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
-
-/// Componentwise a - b; throws std::invalid_argument on length mismatch.
-[[nodiscard]] Vector subtract(const Vector& a, const Vector& b);
 
 /// Scales v so its entries sum to 1.  Throws std::domain_error when the
 /// sum is zero or not finite.

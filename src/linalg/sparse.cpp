@@ -1,7 +1,6 @@
 #include "linalg/sparse.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -11,12 +10,6 @@ namespace rascal::linalg {
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
                      const std::vector<Triplet>& triplets)
-    : rows_(rows), cols_(cols) {
-  build(triplets);
-}
-
-CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
-                     std::vector<Triplet>&& triplets)
     : rows_(rows), cols_(cols) {
   build(triplets);
 }
@@ -152,17 +145,6 @@ CsrMatrix CsrMatrix::from_parts(std::size_t rows, std::size_t cols,
   m.col_idx_ = std::move(col_idx);
   m.values_ = std::move(values);
   return m;
-}
-
-CsrMatrix CsrMatrix::from_dense(const Matrix& m, double drop_below) {
-  std::vector<Triplet> triplets;
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      const double v = m(r, c);
-      if (std::abs(v) > drop_below) triplets.push_back({r, c, v});
-    }
-  }
-  return CsrMatrix(m.rows(), m.cols(), triplets);
 }
 
 Vector CsrMatrix::multiply(const Vector& x) const {

@@ -43,10 +43,6 @@ class CsrMatrix {
   CsrMatrix(std::size_t rows, std::size_t cols,
             const std::vector<Triplet>& triplets);
 
-  /// Rvalue convenience; same counting-sort build (no copy either way).
-  CsrMatrix(std::size_t rows, std::size_t cols,
-            std::vector<Triplet>&& triplets);
-
   /// Adopts pre-built CSR arrays without any triplet round trip.  Rows
   /// must be column-sorted with unique columns; throws
   /// std::invalid_argument when the arrays are inconsistent.
@@ -55,9 +51,6 @@ class CsrMatrix {
                                             std::vector<std::size_t> row_ptr,
                                             std::vector<std::size_t> col_idx,
                                             std::vector<double> values);
-
-  [[nodiscard]] static CsrMatrix from_dense(const Matrix& m,
-                                            double drop_below = 0.0);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

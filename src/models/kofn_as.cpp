@@ -90,11 +90,6 @@ double reward_of(const KofnAsConfig& c,
 
 }  // namespace
 
-std::size_t kofn_as_state_count(const KofnAsConfig& config) {
-  validate(config);
-  return pow3(config.nodes);
-}
-
 ctmc::Ctmc kofn_as_model(const KofnAsConfig& config) {
   validate(config);
   const std::size_t n = pow3(config.nodes);
@@ -142,7 +137,7 @@ KofnAsSparseModel kofn_as_sparse_model(const KofnAsConfig& config) {
                         });
     if (exit != 0.0) triplets.push_back({s, s, -exit});
   }
-  out.generator = linalg::CsrMatrix(n, n, std::move(triplets));
+  out.generator = linalg::CsrMatrix(n, n, triplets);
   return out;
 }
 

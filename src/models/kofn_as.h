@@ -30,10 +30,6 @@ struct KofnAsConfig {
   double rebuild_rate = 0.5;      // Rebuilding -> Up (slow resync)
 };
 
-/// 3^nodes — the chain size a config implies, so callers can budget
-/// before generating anything.
-[[nodiscard]] std::size_t kofn_as_state_count(const KofnAsConfig& config);
-
 /// Full named Ctmc for moderate n (state names encode the per-node
 /// digits, e.g. "as:001020").  Throws std::invalid_argument on an
 /// ill-formed config (quorum/crews out of range, non-positive rates,

@@ -22,16 +22,6 @@ extern "C" void resil_signal_handler(int signal_number) {
 
 }  // namespace
 
-std::string to_string(CancelReason reason) {
-  switch (reason) {
-    case CancelReason::kNone: return "none";
-    case CancelReason::kRequested: return "requested";
-    case CancelReason::kDeadline: return "deadline";
-    case CancelReason::kSignal: return "signal";
-  }
-  return "unknown";
-}
-
 void CancellationToken::request_cancel(CancelReason reason) noexcept {
   int expected = static_cast<int>(CancelReason::kNone);
   reason_.compare_exchange_strong(expected, static_cast<int>(reason),

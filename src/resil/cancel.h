@@ -25,8 +25,6 @@ enum class CancelReason {
   kSignal,     // SIGINT / SIGTERM (see signal_number())
 };
 
-[[nodiscard]] std::string to_string(CancelReason reason);
-
 /// Thrown by solvers and simulators to abandon in-flight work when
 /// their token fires mid-computation.  Drained workers catch it and
 /// leave the interrupted index unrecorded, so a resumed run recomputes

@@ -5,7 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 #include "io/model_file.h"
 #include "obs/obs.h"
 #include "obs/progress.h"

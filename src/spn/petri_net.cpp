@@ -77,17 +77,6 @@ PetriNet& PetriNet::output_arc(TransitionId transition, PlaceId place,
   return *this;
 }
 
-PetriNet& PetriNet::inhibitor_arc(TransitionId transition, PlaceId place,
-                                  std::uint32_t multiplicity) {
-  check_transition(transition);
-  check_place(place);
-  if (multiplicity == 0) {
-    throw std::invalid_argument("PetriNet: zero-multiplicity inhibitor");
-  }
-  transitions_[transition].inhibitors.push_back({place, multiplicity});
-  return *this;
-}
-
 PetriNet& PetriNet::set_guard(TransitionId transition, GuardFunction guard) {
   check_transition(transition);
   transitions_[transition].guard = std::move(guard);
@@ -118,9 +107,6 @@ bool PetriNet::is_enabled(TransitionId id, const Marking& m) const {
   }
   for (const Arc& a : t.inputs) {
     if (m[a.place] < a.multiplicity) return false;
-  }
-  for (const Arc& a : t.inhibitors) {
-    if (m[a.place] >= a.multiplicity) return false;
   }
   if (t.guard && !t.guard(m)) return false;
   if (!t.immediate && !(t.rate(m) > 0.0)) return false;

@@ -2,9 +2,9 @@
 // tradition the paper cites as the standard route to large Markov
 // models: places hold tokens, timed transitions fire after an
 // exponential delay (possibly marking-dependent), immediate
-// transitions fire in zero time by priority and weight, and arcs may
-// be input, output, or inhibitor.  reachability.h converts a bounded
-// net into a ctmc::Ctmc.
+// transitions fire in zero time by priority and weight, and guards
+// add enabling predicates on top of the input arcs.  reachability.h
+// converts a bounded net into a ctmc::Ctmc.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,6 @@ class PetriNet {
   /// Firing `transition` deposits `multiplicity` tokens into `place`.
   PetriNet& output_arc(TransitionId transition, PlaceId place,
                        std::uint32_t multiplicity = 1);
-  /// `transition` is disabled while `place` holds >= `multiplicity`
-  /// tokens.
-  PetriNet& inhibitor_arc(TransitionId transition, PlaceId place,
-                          std::uint32_t multiplicity = 1);
 
   /// Attaches an additional guard predicate.
   PetriNet& set_guard(TransitionId transition, GuardFunction guard);
@@ -93,7 +89,6 @@ class PetriNet {
     RateFunction rate;  // weight for immediates
     std::vector<Arc> inputs;
     std::vector<Arc> outputs;
-    std::vector<Arc> inhibitors;
     GuardFunction guard;  // may be empty
   };
   struct Place {

@@ -49,30 +49,6 @@ class Explorer {
     return out;
   }
 
-  SparseGeneratedCtmc run_sparse() {
-    explore();
-    const std::size_t n = markings_.size();
-    // Ids were assigned in BFS discovery order and the frontier is
-    // FIFO, so transitions_ is already sorted by `from`: the triplet
-    // build below is a pure counting sort with short per-row fixups.
-    std::vector<linalg::Triplet> triplets;
-    triplets.reserve(transitions_.size() + n);
-    linalg::Vector exit(n, 0.0);
-    for (const ctmc::Transition& t : transitions_) {
-      triplets.push_back({t.from, t.to, t.rate});
-      exit[t.from] += t.rate;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (exit[i] != 0.0) triplets.push_back({i, i, -exit[i]});
-    }
-    SparseGeneratedCtmc out;
-    out.generator = linalg::CsrMatrix(n, n, std::move(triplets));
-    out.rewards.reserve(n);
-    for (const Marking& m : markings_) out.rewards.push_back(reward_(m));
-    out.markings = std::move(markings_);
-    return out;
-  }
-
  private:
   void explore() {
     const Marking initial = net_.initial_marking();
@@ -198,19 +174,6 @@ GeneratedCtmc generate_ctmc(const PetriNet& net, const RewardFunction& reward,
   }
   Explorer explorer(net, reward, options);
   return explorer.run();
-}
-
-SparseGeneratedCtmc generate_sparse_ctmc(const PetriNet& net,
-                                         const RewardFunction& reward,
-                                         const ReachabilityOptions& options) {
-  if (net.num_places() == 0) {
-    throw std::invalid_argument("generate_sparse_ctmc: net has no places");
-  }
-  if (!reward) {
-    throw std::invalid_argument("generate_sparse_ctmc: null reward function");
-  }
-  Explorer explorer(net, reward, options);
-  return explorer.run_sparse();
 }
 
 }  // namespace rascal::spn

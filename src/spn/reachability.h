@@ -7,7 +7,6 @@
 #include <functional>
 
 #include "ctmc/ctmc.h"
-#include "linalg/sparse.h"
 #include "spn/petri_net.h"
 
 namespace rascal::spn {
@@ -31,24 +30,6 @@ struct GeneratedCtmc {
 /// cannot reach any tangible marking; std::invalid_argument when the
 /// net has no places.
 [[nodiscard]] GeneratedCtmc generate_ctmc(
-    const PetriNet& net, const RewardFunction& reward,
-    const ReachabilityOptions& options = {});
-
-struct SparseGeneratedCtmc {
-  linalg::CsrMatrix generator;    // Q in CSR form, diagonal included
-  linalg::Vector rewards;         // reward rate per tangible state
-  std::vector<Marking> markings;  // tangible marking per state id
-};
-
-/// Sparse twin of generate_ctmc for the million-state regime: the
-/// same BFS exploration and vanishing elimination, but the generator
-/// is emitted as CSR triplets straight from the frontier — state ids
-/// are assigned in discovery order, so the triplets arrive sorted by
-/// row and the counting-sort assembly is linear.  No Ctmc, dense
-/// Matrix, or state-name strings are ever built.  The merged
-/// generator equals generate_ctmc's sparse_generator() up to
-/// duplicate-rate summation order.  Same exceptions as generate_ctmc.
-[[nodiscard]] SparseGeneratedCtmc generate_sparse_ctmc(
     const PetriNet& net, const RewardFunction& reward,
     const ReachabilityOptions& options = {});
 

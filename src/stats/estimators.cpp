@@ -43,28 +43,6 @@ double imperfect_recovery_upper_bound(std::uint64_t trials,
   return 1.0 - coverage_lower_bound(trials, successes, confidence);
 }
 
-ProportionInterval clopper_pearson(std::uint64_t trials,
-                                   std::uint64_t successes,
-                                   double confidence) {
-  require_confidence(confidence);
-  if (successes > trials) {
-    throw std::invalid_argument("clopper_pearson: successes > trials");
-  }
-  const double alpha = 1.0 - confidence;
-  const double n = static_cast<double>(trials);
-  const double s = static_cast<double>(successes);
-  ProportionInterval interval;
-  if (successes > 0) {
-    interval.lower =
-        inverse_regularized_beta(s, n - s + 1.0, alpha / 2.0);
-  }
-  if (successes < trials) {
-    interval.upper =
-        inverse_regularized_beta(s + 1.0, n - s, 1.0 - alpha / 2.0);
-  }
-  return interval;
-}
-
 double failure_rate_upper_bound(double total_exposure, std::uint64_t failures,
                                 double confidence) {
   require_confidence(confidence);
@@ -94,13 +72,6 @@ RateInterval failure_rate_interval(double total_exposure,
                           1.0 - alpha / 2.0) /
       (2.0 * total_exposure);
   return interval;
-}
-
-double failure_rate_mle(double total_exposure, std::uint64_t failures) {
-  if (!(total_exposure > 0.0)) {
-    throw std::invalid_argument("failure_rate_mle: exposure must be > 0");
-  }
-  return static_cast<double>(failures) / total_exposure;
 }
 
 }  // namespace rascal::stats

@@ -34,17 +34,6 @@ namespace rascal::stats {
                                                     std::uint64_t successes,
                                                     double confidence);
 
-/// Exact Clopper-Pearson interval for a binomial proportion (both
-/// endpoints), using the beta-quantile form.  Returned as
-/// {lower, upper}; degenerate cases (s=0, s=n) handled per convention.
-struct ProportionInterval {
-  double lower = 0.0;
-  double upper = 1.0;
-};
-[[nodiscard]] ProportionInterval clopper_pearson(std::uint64_t trials,
-                                                 std::uint64_t successes,
-                                                 double confidence);
-
 /// Equation (2).  Upper bound on an exponential failure rate given n
 /// observed failures over total (time-on-test) exposure T:
 ///
@@ -65,10 +54,5 @@ struct RateInterval {
 [[nodiscard]] RateInterval failure_rate_interval(double total_exposure,
                                                  std::uint64_t failures,
                                                  double confidence);
-
-/// Maximum-likelihood rate estimate n / T with the convention 0 for
-/// n == 0.
-[[nodiscard]] double failure_rate_mle(double total_exposure,
-                                      std::uint64_t failures);
 
 }  // namespace rascal::stats

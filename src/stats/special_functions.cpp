@@ -98,15 +98,6 @@ double regularized_gamma_p(double a, double x) {
   return 1.0 - gamma_q_continued_fraction(a, x);
 }
 
-double regularized_gamma_q(double a, double x) {
-  if (!(a > 0.0) || x < 0.0) {
-    throw std::domain_error("regularized_gamma_q: requires a > 0, x >= 0");
-  }
-  if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - gamma_p_series(a, x);
-  return gamma_q_continued_fraction(a, x);
-}
-
 double inverse_regularized_gamma_p(double a, double p) {
   if (!(a > 0.0) || p < 0.0 || p >= 1.0) {
     throw std::domain_error(

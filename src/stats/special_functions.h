@@ -15,9 +15,6 @@ namespace rascal::stats {
 /// for a > 0, x >= 0.  Throws std::domain_error outside the domain.
 [[nodiscard]] double regularized_gamma_p(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-[[nodiscard]] double regularized_gamma_q(double a, double x);
-
 /// Inverse of P(a, .): returns x with P(a, x) = p, for p in [0, 1).
 [[nodiscard]] double inverse_regularized_gamma_p(double a, double p);
 

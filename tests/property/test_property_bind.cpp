@@ -14,7 +14,7 @@
 
 #include "check/oracle.h"
 #include "check/random_model.h"
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 #include "ctmc/solve_cache.h"
 #include "io/model_file.h"
 

@@ -2,9 +2,8 @@
 // oracle check_krylov_consensus (GMRES and BiCGStab under every
 // preconditioner against dense GTH, refusal symmetry, workspace
 // bit-identity) on seeded random families, metamorphic invariances
-// (rate rescaling, state permutation), and the SPN sparse-emission
-// path against the dense reachability path.  Fixed seeds keep the
-// suite deterministic.
+// (rate rescaling, state permutation).  Fixed seeds keep the suite
+// deterministic.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,12 +12,7 @@
 #include "check/random_model.h"
 #include "core/metrics.h"
 #include "ctmc/steady_state.h"
-#include "linalg/gth.h"
-#include "linalg/krylov.h"
 #include "models/kofn_as.h"
-#include "models/params.h"
-#include "models/spn_variants.h"
-#include "spn/reachability.h"
 
 namespace rascal::check {
 namespace {
@@ -163,54 +157,6 @@ TEST(KrylovMetamorphic, PermutationRejectsMalformedInput) {
   EXPECT_THROW((void)permute_states(model.chain,
                                     std::vector<std::size_t>(n, 0)),
                std::invalid_argument);
-}
-
-TEST(SpnSparsePath, MatchesDenseReachabilityOnPaperModels) {
-  // The CSR-direct SPN emission must describe the same chain as the
-  // dense path: same state count, same rewards, same generator, and a
-  // GMRES solve of the sparse generator must land on the dense GTH
-  // availability.
-  const auto params = models::default_parameters();
-  struct Case {
-    spn::PetriNet net;
-    spn::RewardFunction reward;
-  };
-  const Case cases[] = {
-      {models::hadb_pair_spn(params), models::hadb_pair_spn_reward()},
-      {models::app_server_spn(3, params), models::app_server_spn_reward()},
-  };
-  for (const Case& c : cases) {
-    const auto dense = spn::generate_ctmc(c.net, c.reward);
-    const auto sparse = spn::generate_sparse_ctmc(c.net, c.reward);
-    const std::size_t n = dense.chain.num_states();
-    ASSERT_EQ(sparse.generator.rows(), n);
-    ASSERT_EQ(sparse.markings.size(), dense.markings.size());
-    for (std::size_t s = 0; s < n; ++s) {
-      EXPECT_EQ(sparse.markings[s], dense.markings[s]) << "state " << s;
-      EXPECT_DOUBLE_EQ(sparse.rewards[s], dense.chain.states()[s].reward);
-    }
-    // Generators agree entry-by-entry (duplicate rates may have been
-    // summed in a different order, hence the tolerance).
-    const linalg::Matrix a = sparse.generator.to_dense();
-    const linalg::Matrix b = dense.chain.generator();
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t col = 0; col < n; ++col) {
-        EXPECT_NEAR(a(r, col), b(r, col), 1e-13) << r << "," << col;
-      }
-    }
-    const linalg::Vector reference = linalg::gth_stationary(b);
-    linalg::KrylovOptions options;
-    options.precond = linalg::PrecondKind::kIlu0;
-    const auto solved = linalg::gmres_stationary(sparse.generator, options);
-    ASSERT_TRUE(solved.converged);
-    double avail_sparse = 0.0;
-    double avail_dense = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      avail_sparse += solved.x[s] * sparse.rewards[s];
-      avail_dense += reference[s] * dense.chain.states()[s].reward;
-    }
-    EXPECT_NEAR(avail_sparse, avail_dense, 1e-10);
-  }
 }
 
 }  // namespace

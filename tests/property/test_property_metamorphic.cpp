@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "check/random_model.h"
+#include "check/reference_twins.h"
 #include "core/metrics.h"
 #include "ctmc/absorption.h"
 #include "ctmc/builder.h"
@@ -84,7 +85,7 @@ TEST(Metamorphic, LumpingIdenticalUnitsPreservesMetrics) {
     EXPECT_EQ(partition.size(), units + 1)
         << "units=" << units << " [stream " << i << "]";
     ASSERT_TRUE(ctmc::is_lumpable(joint, partition));
-    const ctmc::Ctmc quotient = ctmc::lump(joint, partition);
+    const ctmc::Ctmc quotient = check::lump(joint, partition);
 
     const auto full = core::solve_availability(joint);
     const auto lumped = core::solve_availability(quotient);

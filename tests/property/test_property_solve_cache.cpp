@@ -204,7 +204,6 @@ TEST(SharedSolveCache, OccupancyStaysBoundedUnderEviction) {
   // capacity and the overflow must surface as evictions, not growth.
   ctmc::SharedSolveCache::Config config;
   config.capacity = 8;
-  config.shards = 4;
   ctmc::SharedSolveCache cache(config);
 
   const ctmc::Ctmc chain = repair_pair();
@@ -217,9 +216,6 @@ TEST(SharedSolveCache, OccupancyStaysBoundedUnderEviction) {
   EXPECT_GE(stats.capacity, 8u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.insertions, 256u);
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().occupancy, 0u);
 }
 
 TEST(SharedCacheConsensus, BitIdenticalOn60RandomErgodicModels) {

@@ -1,8 +1,7 @@
 // Bit-identity property tests for the allocation-free solve hot
-// path: solves through a reused SolveWorkspace and batched
-// multi-RHS interval rewards must reproduce the
+// path: solves through a reused SolveWorkspace must reproduce the
 // fresh-allocation path bit for bit (oracle tolerance zero) on seeded
-// random models, across all four steady-state methods and both
+// random models, across all three steady-state methods and both
 // transient evaluators.  Fixed seeds keep the suite deterministic.
 #include <gtest/gtest.h>
 

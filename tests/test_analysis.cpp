@@ -5,6 +5,7 @@
 #include "analysis/parametric.h"
 #include "analysis/sensitivity.h"
 #include "analysis/uncertainty.h"
+#include "check/reference_twins.h"
 
 namespace rascal::analysis {
 namespace {
@@ -98,7 +99,7 @@ TEST(Uncertainty, RejectsZeroSamples) {
 }
 
 TEST(Sensitivity, CentralDifferenceMatchesAnalyticDerivative) {
-  const auto sens = finite_difference_sensitivities(
+  const auto sens = check::finite_difference_sensitivities(
       kQuadratic, kBase, {"x", "a", "b"});
   ASSERT_EQ(sens.size(), 3u);
   // dy/dx = 2ax = 12; dy/da = x^2 = 9; dy/db = 1.

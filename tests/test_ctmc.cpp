@@ -90,20 +90,8 @@ TEST(Ctmc, RewardPartitions) {
   b.state("Down", 0.0);
   b.rate(0, 1, 1.0).rate(1, 2, 1.0).rate(2, 0, 1.0);
   const Ctmc c = b.build();
-  EXPECT_EQ(c.states_with_reward_at_least(0.5),
-            (std::vector<StateId>{0, 1}));
   EXPECT_EQ(c.states_with_reward_below(0.5), (std::vector<StateId>{2}));
   EXPECT_DOUBLE_EQ(c.max_exit_rate(), 1.0);
-}
-
-TEST(Builder, NameBasedRates) {
-  CtmcBuilder b;
-  b.state("X", 1.0);
-  b.state("Y", 0.0);
-  b.rate("X", "Y", 3.0).rate("Y", "X", 4.0);
-  const Ctmc c = b.build();
-  EXPECT_DOUBLE_EQ(c.rate(0, 1), 3.0);
-  EXPECT_THROW(b.rate("X", "Zzz", 1.0), std::invalid_argument);
 }
 
 TEST(Builder, ZeroRatesAreDropped) {

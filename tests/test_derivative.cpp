@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "analysis/exact_sensitivity.h"
-#include "analysis/sensitivity.h"
+#include "check/reference_twins.h"
 #include "core/metrics.h"
 #include "expr/expression.h"
 #include "models/hadb_pair.h"
@@ -120,7 +120,7 @@ TEST(ExactSensitivity, MatchesFiniteDifferencesOnHadbPair) {
         "Acc"}) {
     const auto exact =
         analysis::steady_state_sensitivity(model, params, parameter);
-    const auto numeric = analysis::finite_difference_sensitivities(
+    const auto numeric = check::finite_difference_sensitivities(
         [&model](const expr::ParameterSet& p) {
           return core::solve_availability(model.bind(p)).availability;
         },

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "ctmc/builder.h"
 
 namespace rascal::io {
@@ -16,8 +18,14 @@ ctmc::Ctmc sample_chain() {
   return b.build();
 }
 
+std::string dot_of(const ctmc::Ctmc& chain, const DotOptions& options = {}) {
+  std::ostringstream os;
+  write_dot(os, chain, options);
+  return os.str();
+}
+
 TEST(DotExport, EmitsValidDigraphStructure) {
-  const std::string dot = to_dot(sample_chain());
+  const std::string dot = dot_of(sample_chain());
   EXPECT_EQ(dot.find("digraph"), 0u);
   EXPECT_NE(dot.find("\"Up\" -> \"Degraded\""), std::string::npos);
   EXPECT_NE(dot.find("\"Down\" -> \"Up\""), std::string::npos);
@@ -26,7 +34,7 @@ TEST(DotExport, EmitsValidDigraphStructure) {
 }
 
 TEST(DotExport, StylesStatesByReward) {
-  const std::string dot = to_dot(sample_chain());
+  const std::string dot = dot_of(sample_chain());
   // Down states render as shaded boxes, degraded states amber.
   EXPECT_NE(dot.find("\"Down\" [shape=box"), std::string::npos);
   EXPECT_NE(dot.find("\"Degraded\" [shape=ellipse, style=filled"),
@@ -37,11 +45,11 @@ TEST(DotExport, StylesStatesByReward) {
 TEST(DotExport, RateLabelsAreOptional) {
   DotOptions options;
   options.show_rates = false;
-  const std::string dot = to_dot(sample_chain(), options);
+  const std::string dot = dot_of(sample_chain(), options);
   EXPECT_EQ(dot.find("label="), std::string::npos);
 
   options.show_rates = true;
-  const std::string with_rates = to_dot(sample_chain(), options);
+  const std::string with_rates = dot_of(sample_chain(), options);
   EXPECT_NE(with_rates.find("label=\"0.25\""), std::string::npos);
 }
 
@@ -50,7 +58,7 @@ TEST(DotExport, EscapesAwkwardNames) {
   b.state("state \"one\"", 1.0);
   b.state("state\\two", 0.0);
   b.rate(0, 1, 1.0).rate(1, 0, 1.0);
-  const std::string dot = to_dot(b.build());
+  const std::string dot = dot_of(b.build());
   EXPECT_NE(dot.find("\\\"one\\\""), std::string::npos);
   EXPECT_NE(dot.find("state\\\\two"), std::string::npos);
 }
@@ -58,7 +66,7 @@ TEST(DotExport, EscapesAwkwardNames) {
 TEST(DotExport, GraphNameIsQuoted) {
   DotOptions options;
   options.graph_name = "HADB pair (Figure 3)";
-  const std::string dot = to_dot(sample_chain(), options);
+  const std::string dot = dot_of(sample_chain(), options);
   EXPECT_NE(dot.find("digraph \"HADB pair (Figure 3)\""),
             std::string::npos);
 }

@@ -4,8 +4,12 @@
 
 #include <stdexcept>
 
+#include "check/reference_twins.h"
+
 namespace rascal::stats {
 namespace {
+
+using check::clopper_pearson;
 
 // --- Equation (1): the paper's FIR bound -------------------------------
 
@@ -113,8 +117,7 @@ TEST(FailureRateBound, MoreFailuresRaiseTheBound) {
 }
 
 TEST(FailureRateBound, BoundExceedsMle) {
-  const double mle = failure_rate_mle(100.0, 5);
-  EXPECT_DOUBLE_EQ(mle, 0.05);
+  const double mle = 5.0 / 100.0;  // n / T
   EXPECT_GT(failure_rate_upper_bound(100.0, 5, 0.95), mle);
 }
 
@@ -135,7 +138,6 @@ TEST(FailureRate, InputValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)failure_rate_upper_bound(10.0, 0, 0.0),
                std::invalid_argument);
-  EXPECT_THROW((void)failure_rate_mle(0.0, 1), std::invalid_argument);
 }
 
 // The paper's conservative choice: La = 52/year ("once a week") must

@@ -1,4 +1,4 @@
-#include "linalg/expm.h"
+#include "check/expm.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 
 namespace rascal::linalg {
 namespace {
+
+using check::matrix_exponential;
 
 TEST(Expm, ZeroMatrixGivesIdentity) {
   const Matrix e = matrix_exponential(Matrix(3, 3, 0.0));

@@ -135,7 +135,6 @@ TEST(ParameterSet, SetGetAndMerge) {
   EXPECT_TRUE(p.contains("a"));
   EXPECT_FALSE(p.contains("z"));
   EXPECT_DOUBLE_EQ(p.get("b"), 2.0);
-  EXPECT_DOUBLE_EQ(p.get_or("z", 9.0), 9.0);
   EXPECT_THROW((void)p.get("z"), UnknownParameterError);
 
   const ParameterSet merged = p.with(ParameterSet{{"b", 5.0}, {"c", 6.0}});

@@ -202,8 +202,6 @@ TEST(Campaign, RecoveryIsSlowerUnderFullLoad) {
 TEST(Campaign, WorkloadAndModeNamesRender) {
   EXPECT_EQ(to_string(WorkloadLevel::kIdle), "idle");
   EXPECT_EQ(to_string(WorkloadLevel::kFullyLoaded), "fully-loaded");
-  EXPECT_EQ(to_string(SystemMode::kDataReorganization),
-            "data-reorganization");
 }
 
 TEST(Campaign, RejectsZeroTrials) {

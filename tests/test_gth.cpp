@@ -74,13 +74,6 @@ TEST(Gth, HandlesExtremeRateStiffness) {
   EXPECT_NEAR(pi[1], lambda / (lambda + mu), 1e-25);
 }
 
-TEST(Gth, DtmcWrapperSolvesPeriodicChain) {
-  // Deterministic 2-cycle: stationary (0.5, 0.5).
-  const Vector pi = gth_stationary_dtmc({{0.0, 1.0}, {1.0, 0.0}});
-  EXPECT_NEAR(pi[0], 0.5, 1e-14);
-  EXPECT_NEAR(pi[1], 0.5, 1e-14);
-}
-
 class GthProperty : public ::testing::TestWithParam<std::size_t> {};
 
 // pi Q = 0 and sum(pi) = 1 on random irreducible generators.

@@ -6,6 +6,7 @@
 
 #include "analysis/uncertainty.h"
 #include "check/reference_solvers.h"
+#include "check/spn_variants.h"
 #include "core/hierarchy.h"
 #include "core/units.h"
 #include "ctmc/compose.h"
@@ -15,7 +16,6 @@
 #include "faultinj/injector.h"
 #include "models/jsas_system.h"
 #include "models/params.h"
-#include "models/spn_variants.h"
 #include "report/table.h"
 #include "sim/jsas_simulator.h"
 #include "spn/reachability.h"
@@ -78,9 +78,9 @@ TEST(Consistency, SpnRouteMatchesDirectRouteThroughHierarchy) {
   // Build the same hierarchy but evaluate the submodels from their
   // SPN-generated chains.
   const auto as_generated = spn::generate_ctmc(
-      models::app_server_spn(2, params), models::app_server_spn_reward());
+      check::app_server_spn(2, params), check::app_server_spn_reward());
   const auto hadb_generated = spn::generate_ctmc(
-      models::hadb_pair_spn(params), models::hadb_pair_spn_reward());
+      check::hadb_pair_spn(params), check::hadb_pair_spn_reward());
   const auto as_eq = core::two_state_equivalent(
       as_generated.chain, ctmc::solve_steady_state(as_generated.chain));
   const auto hadb_eq = core::two_state_equivalent(

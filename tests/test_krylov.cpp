@@ -116,18 +116,6 @@ TEST(Gmres, ConvergesAcrossRestartBoundaries) {
   EXPECT_LT(max_abs_diff(result.x, x), 1e-8);
 }
 
-TEST(Gmres, InitialGuessAtTheSolutionConvergesInstantly) {
-  Vector b;
-  Vector x;
-  const CsrMatrix a = small_system(b, x);
-  KrylovOptions options;
-  options.initial_guess = &x;
-  const KrylovResult result = gmres(a, b, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.iterations, 0u);
-  EXPECT_EQ(result.x, x);
-}
-
 TEST(BiCgStab, DetectsBreakdownInsteadOfProducingNaN) {
   // The classic rotation matrix: rhat = r = b makes the very first
   // dot(rhat, A p) vanish, so the rho/den recurrence has no valid
@@ -189,7 +177,7 @@ CsrMatrix small_generator() {
   add(2, 0, 0.5);
   add(3, 4, 2.0);
   add(4, 0, 6.0);
-  return CsrMatrix(5, 5, std::move(triplets));
+  return CsrMatrix(5, 5, triplets);
 }
 
 TEST(Stationary, WrappersMatchDenseGth) {
@@ -308,7 +296,8 @@ TEST(KofnAs, HundredThousandStateSolveStaysUnderDenseMemory) {
   config.nodes = 11;
   config.quorum = 8;
   config.repair_crews = 3;
-  const std::size_t n = models::kofn_as_state_count(config);
+  std::size_t n = 1;  // 3^nodes states
+  for (std::size_t i = 0; i < config.nodes; ++i) n *= 3;
   ASSERT_GE(n, 100000u);
   const models::KofnAsSparseModel model =
       models::kofn_as_sparse_model(config);

@@ -1,4 +1,4 @@
-#include "stats/ks_test.h"
+#include "check/ks_test.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,9 @@
 
 namespace rascal::stats {
 namespace {
+
+using check::kolmogorov_survival;
+using check::ks_test;
 
 std::function<double(double)> exponential_cdf(double rate) {
   return [rate](double x) { return x < 0.0 ? 0.0 : -std::expm1(-rate * x); };

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/hadb_pair_explicit.h"
 #include "ctmc/absorption.h"
 #include "ctmc/builder.h"
 #include "ctmc/steady_state.h"
@@ -23,7 +24,6 @@
 #include "io/model_file.h"
 #include "models/app_server.h"
 #include "models/hadb_pair.h"
-#include "models/hadb_pair_explicit.h"
 #include "models/hadb_spares.h"
 #include "models/kofn_as.h"
 #include "models/params.h"
@@ -488,7 +488,7 @@ TEST(LintPaperModels, AllSevenPaperModelsLintClean) {
       {"app_server_4inst",
        models::app_server_n_instance_model(4).bind(params)},
       {"hadb_pair", models::hadb_pair_model().bind(params)},
-      {"hadb_pair_explicit", models::hadb_pair_explicit_model(params)},
+      {"hadb_pair_explicit", check::hadb_pair_explicit_model(params)},
       {"kofn_as_4of6", models::kofn_as_model({})},
       {"upgrade",
        models::dual_cluster_upgrade_model().bind(

@@ -31,17 +31,6 @@ TEST(Lu, PivotsOnZeroDiagonal) {
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(Lu, DeterminantOfKnownMatrix) {
-  const LuDecomposition lu(Matrix{{3.0, 1.0}, {2.0, 4.0}});
-  EXPECT_NEAR(lu.determinant(), 10.0, 1e-12);
-}
-
-TEST(Lu, DeterminantTracksPivotSign) {
-  // Permutation matrix has determinant -1.
-  const LuDecomposition lu(Matrix{{0.0, 1.0}, {1.0, 0.0}});
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
-}
-
 TEST(Lu, SolveRejectsWrongLength) {
   const LuDecomposition lu(Matrix::identity(3));
   EXPECT_THROW((void)lu.solve(Vector{1.0, 2.0}), std::invalid_argument);

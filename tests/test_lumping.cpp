@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "check/hadb_pair_explicit.h"
+#include "check/reference_twins.h"
 #include "core/metrics.h"
 #include "ctmc/builder.h"
 #include "ctmc/steady_state.h"
 #include "models/hadb_pair.h"
-#include "models/hadb_pair_explicit.h"
 #include "models/params.h"
 
 namespace rascal::ctmc {
 namespace {
+
+using check::lump;
 
 // Symmetric 2-component machine: states by which unit is down.
 Ctmc symmetric_two_unit(double lambda, double mu) {
@@ -107,7 +110,7 @@ TEST(Lumping, CoarsestLumpingOnAsymmetricChainIsTrivial) {
 // quotient of the node-identity-explicit model.
 TEST(Lumping, ExplicitHadbPairLumpsToFigureThree) {
   const auto params = models::default_parameters();
-  const Ctmc explicit_chain = models::hadb_pair_explicit_model(params);
+  const Ctmc explicit_chain = check::hadb_pair_explicit_model(params);
   EXPECT_EQ(explicit_chain.num_states(), 10u);
 
   // With the paper's defaults RestartShort and Maintenance happen to
@@ -135,7 +138,7 @@ TEST(Lumping, ExplicitHadbPairCoarsestIsFigureThreeWhenTimesDiffer) {
   // six states, each block pairing the A/B twins.
   auto params = models::default_parameters();
   params.set("hadb_Tmnt", 2.0 / 60.0);
-  const Ctmc explicit_chain = models::hadb_pair_explicit_model(params);
+  const Ctmc explicit_chain = check::hadb_pair_explicit_model(params);
   const Partition partition = coarsest_ordinary_lumping(explicit_chain);
   EXPECT_EQ(partition.size(), 6u);
   ASSERT_TRUE(is_lumpable(explicit_chain, partition));
@@ -157,7 +160,7 @@ TEST(Lumping, ExplicitPairMatchesFigureThreeAcrossParameters) {
       auto params = models::default_parameters();
       params.set("hadb_FIR", fir).set("Acc", acc);
       const auto full = core::solve_availability(
-          models::hadb_pair_explicit_model(params));
+          check::hadb_pair_explicit_model(params));
       const auto figure3 = core::solve_availability(
           models::hadb_pair_model().bind(params));
       EXPECT_NEAR(full.unavailability, figure3.unavailability,

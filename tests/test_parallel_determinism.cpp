@@ -11,6 +11,7 @@
 
 #include "analysis/sensitivity.h"
 #include "analysis/uncertainty.h"
+#include "check/reference_twins.h"
 #include "faultinj/injector.h"
 #include "models/jsas_system.h"
 #include "models/params.h"
@@ -211,9 +212,9 @@ TEST(ParallelDeterminism, SweepAndSensitivityAreThreadCountInvariant) {
     EXPECT_EQ(bars4[i].metric_at_hi, bars1[i].metric_at_hi);
   }
 
-  const auto sens1 = analysis::finite_difference_sensitivities(
+  const auto sens1 = check::finite_difference_sensitivities(
       kQuadratic, kBase, {"x", "a", "b"}, 1e-4, 1);
-  const auto sens4 = analysis::finite_difference_sensitivities(
+  const auto sens4 = check::finite_difference_sensitivities(
       kQuadratic, kBase, {"x", "a", "b"}, 1e-4, 4);
   ASSERT_EQ(sens4.size(), sens1.size());
   for (std::size_t i = 0; i < sens1.size(); ++i) {

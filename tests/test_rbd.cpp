@@ -1,13 +1,22 @@
-#include "rbd/block.h"
+#include "check/rbd.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/metrics.h"
 #include "core/units.h"
+#include "ctmc/steady_state.h"
 #include "models/jsas_system.h"
+#include "models/kofn_as.h"
 #include "models/params.h"
 
-namespace rascal::rbd {
+namespace rascal::check {
 namespace {
 
 BlockPtr unit(const std::string& name, double a) {
@@ -75,25 +84,6 @@ TEST(Rbd, NestedStructure) {
   EXPECT_NEAR(system->availability(), front * quorum, 1e-12);
 }
 
-TEST(Rbd, CtmcEmbeddingMatchesClosedForm) {
-  const BlockPtr system = series(
-      "sys", {parallel("p", {component("a", 0.01, 1.0),
-                             component("b", 0.02, 0.5)}),
-              component("c", 0.001, 2.0)});
-  const ctmc::Ctmc chain = to_ctmc(system);
-  EXPECT_EQ(chain.num_states(), 8u);
-  const auto metrics = core::solve_availability(chain);
-  EXPECT_NEAR(metrics.availability, system->availability(), 1e-12);
-}
-
-TEST(Rbd, CtmcEmbeddingKofN) {
-  const BlockPtr quorum = k_of_n(
-      "q", 2, {component("a", 0.1, 1.0), component("b", 0.2, 1.5),
-               component("c", 0.05, 0.8)});
-  const auto metrics = core::solve_availability(to_ctmc(quorum));
-  EXPECT_NEAR(metrics.availability, quorum->availability(), 1e-12);
-}
-
 // The static RBD view of Config 1 ("at least one AS instance and one
 // node per pair") is *optimistic* relative to the paper's Markov
 // model: it has no workload acceleration, no imperfect recovery, and
@@ -129,9 +119,50 @@ TEST(Rbd, StaticViewIsOptimisticVersusMarkovModel) {
 }
 
 TEST(Rbd, NullBlockRejected) {
-  EXPECT_THROW((void)to_ctmc(nullptr), std::invalid_argument);
   EXPECT_THROW((void)series("s", {nullptr}), std::invalid_argument);
 }
 
+// With one repair crew per node the nodes of a k-of-n AS tier are
+// independent, so the production chain's availability must equal the
+// k-of-n algebra over n per-node components.  A node fails at lambda
+// and recovers after a restart (probability C) or a rebuild, so its
+// mean time to repair is C/mu_restart + (1 - C)/mu_rebuild.  GTH's
+// error in U is at most about 1e-13 here; the 1 - A subtraction on the
+// algebraic side dominates the comparison.
+TEST(ClosedForm, KofnWithOneCrewPerNodeMatchesTheBinomialForm) {
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {3, 2}, {4, 3}, {4, 2}, {5, 4}, {5, 3}, {6, 5}, {6, 4}};
+  double worst = 0.0;
+  for (const auto& [n, quorum] : cases) {
+    models::KofnAsConfig config;
+    config.nodes = n;
+    config.quorum = quorum;
+    config.repair_crews = n;
+    const ctmc::Ctmc chain = models::kofn_as_model(config);
+    ASSERT_LE(chain.num_states(), ctmc::kDefaultSparseThreshold);
+    const ctmc::SteadyState steady =
+        ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kGth);
+    ASSERT_EQ(steady.effective_method, ctmc::SteadyStateMethod::kGth);
+    const double u_chain =
+        1.0 - core::availability_metrics(chain, steady).availability;
+
+    const double mttr = config.restart_coverage / config.restart_rate +
+                        (1.0 - config.restart_coverage) / config.rebuild_rate;
+    std::vector<BlockPtr> nodes;
+    for (std::size_t i = 0; i < n; ++i) {
+      nodes.push_back(component("as" + std::to_string(i),
+                                config.failure_rate, 1.0 / mttr));
+    }
+    const double u_algebra =
+        1.0 - k_of_n("tier", quorum, std::move(nodes))->availability();
+
+    const double error = std::abs(u_chain - u_algebra) / u_algebra;
+    EXPECT_LT(error, 1e-8) << n << " nodes, quorum " << quorum
+                           << ": U " << u_chain << " vs " << u_algebra;
+    worst = std::max(worst, error);
+  }
+  std::printf("worst relative error in U: %.3g\n", worst);
+}
+
 }  // namespace
-}  // namespace rascal::rbd
+}  // namespace rascal::check

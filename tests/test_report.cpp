@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "report/ascii_plot.h"
-#include "report/csv.h"
 #include "report/table.h"
 
 namespace rascal::report {
@@ -68,24 +65,6 @@ TEST(AsciiPlot, DegenerateSeriesStillRenders) {
 TEST(AsciiPlot, Validation) {
   EXPECT_THROW((void)line_plot({}, {}), std::invalid_argument);
   EXPECT_THROW((void)line_plot({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  std::ostringstream os;
-  write_csv(os, {"x", "y"}, {{"1", "2"}, {"3", "4,5"}});
-  EXPECT_EQ(os.str(), "x,y\n1,2\n3,\"4,5\"\n");
-}
-
-TEST(Csv, RejectsArityMismatch) {
-  std::ostringstream os;
-  EXPECT_THROW(write_csv(os, {"x", "y"}, {{"1"}}), std::invalid_argument);
 }
 
 }  // namespace

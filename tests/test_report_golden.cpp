@@ -4,10 +4,7 @@
 // scripts parse these outputs.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "report/ascii_plot.h"
-#include "report/csv.h"
 #include "report/table.h"
 
 namespace rascal::report {
@@ -23,17 +20,6 @@ TEST(ReportGolden, TableRendersByteExact) {
       "| Config 1 | 99.99933%    | 3.49              |\n"
       "| Config 2 | 99.99956%    | 2.28              |\n";
   EXPECT_EQ(t.to_string(), expected);
-}
-
-TEST(ReportGolden, CsvRendersByteExact) {
-  std::ostringstream os;
-  write_csv(os, {"n", "availability"},
-            {{"1", "0.9996291"}, {"2", "0.9999934"}});
-  const std::string expected =
-      "n,availability\n"
-      "1,0.9996291\n"
-      "2,0.9999934\n";
-  EXPECT_EQ(os.str(), expected);
 }
 
 TEST(ReportGolden, LinePlotRendersByteExact) {

@@ -3,7 +3,8 @@
 // or silent default), the deterministic record rendering, the ordered
 // results sink, the end-to-end batch runner including per-request
 // error records and cold/warm cache bit-identity, and the one
-// evaluation path that batch shares with the CLI's solving subcommands.
+// evaluation path that batch shares with the CLI's solving subcommands,
+// sweep and uncertainty.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +15,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/parametric.h"
+#include "analysis/uncertainty.h"
 #include "core/metrics.h"
 #include "ctmc/solve_cache.h"
 #include "io/model_file.h"
@@ -632,6 +636,94 @@ TEST(EvaluateConsensus, ForcedKrylovNonConvergenceFallsBackToBicgstab) {
         chain,
         ctmc::solve_steady_state(chain, ctmc::SteadyStateMethod::kBiCgStab));
     expect_same_bits(evaluation.metrics, direct, record, path);
+  }
+}
+
+// One --set override per example model: a parameter its rates read.
+const std::map<std::string, std::pair<std::string, double>> kOverrides = {
+    {"app_server_2inst", {"Acc", 1.75}},
+    {"hadb_pair", {"FIR", 0.0015}},
+    {"kofn_as_2of3", {"C", 0.8}},
+    {"spn_as_coverage", {"C", 0.85}},
+};
+
+TEST(EntryPointConsensus, EvaluateSweepAndUncertaintyGiveTheSameBits) {
+  // Three entry paths on one overridden request: serve::evaluate (what
+  // solve, states, sweep and batch call), a parametric sweep through
+  // evaluate (what `sweep` runs), and a one-sample uncertainty run over
+  // a degenerate range (what `uncertainty` runs: bind, then
+  // SolveCache::steady_state under the control its flags build).
+  struct Config {
+    ctmc::SteadyStateMethod method;
+    std::size_t sparse_threshold;
+  };
+  const Config configs[] = {{ctmc::SteadyStateMethod::kGth, 0},
+                            {ctmc::SteadyStateMethod::kGmres, 0},
+                            {ctmc::SteadyStateMethod::kBiCgStab, 0},
+                            {ctmc::SteadyStateMethod::kGth, 1}};
+  const std::vector<std::string> models = example_models();
+  ASSERT_FALSE(models.empty());
+  for (const std::string& path : models) {
+    const auto override_it =
+        kOverrides.find(std::filesystem::path(path).stem().string());
+    ASSERT_NE(override_it, kOverrides.end()) << "no override for " << path;
+    const auto& [name, value] = override_it->second;
+    const io::ModelFile file = io::load_model(path);
+    expr::ParameterSet overrides;
+    overrides.set(name, value);
+    const expr::ParameterSet base = file.parameters_with(overrides);
+    for (const Config& config : configs) {
+      SolveSpec spec;
+      spec.method = config.method;
+      spec.sparse_threshold = config.sparse_threshold;
+      const std::string what = path + " " + name + "=" +
+                               std::to_string(value) + " " +
+                               ctmc::to_string(config.method) +
+                               " sparse_threshold " +
+                               std::to_string(config.sparse_threshold);
+      ctmc::SolveCache cache;
+      const Evaluation evaluation = evaluate(file, overrides, spec, cache, {});
+      EXPECT_EQ(evaluation.solved.fallback, "") << what;
+
+      ctmc::SolveControl control;
+      control.max_iterations = spec.max_iterations;
+      control.precond = spec.precond;
+      control.sparse_threshold = spec.sparse_threshold;
+      for (const OutputKind kind : kAllOutputs) {
+        const std::uint64_t expected =
+            bits(metric_value(kind, evaluation.metrics));
+        const analysis::ContextModelFunction through_evaluate =
+            [&](const expr::ParameterSet& params,
+                ctmc::SolveCache& point_cache) {
+              return metric_value(
+                  kind, evaluate(file, params, spec, point_cache, {}).metrics);
+            };
+        const auto sweep = analysis::parametric_sweep(through_evaluate, base,
+                                                      name, {value});
+        ASSERT_EQ(sweep.size(), 1u) << what;
+        EXPECT_EQ(bits(sweep[0].metric), expected)
+            << what << " sweep: " << to_string(kind);
+
+        const analysis::ContextModelFunction per_sample =
+            [&](const expr::ParameterSet& params,
+                ctmc::SolveCache& sample_cache) {
+              const ctmc::Ctmc chain = file.model.bind(params);
+              return metric_value(
+                  kind, core::availability_metrics(
+                            chain, sample_cache.steady_state(
+                                       chain, spec.method,
+                                       ctmc::Validation::kOn, control)));
+            };
+        analysis::UncertaintyOptions options;
+        options.samples = 1;
+        const analysis::UncertaintyResult result =
+            analysis::uncertainty_analysis(per_sample, base,
+                                           {{name, value, value}}, options);
+        ASSERT_EQ(result.metrics.size(), 1u) << what;
+        EXPECT_EQ(bits(result.metrics[0]), expected)
+            << what << " uncertainty: " << to_string(kind);
+      }
+    }
   }
 }
 

@@ -44,18 +44,6 @@ TEST(PetriNet, MultiplicityRespected) {
   EXPECT_FALSE(net.is_enabled(t, m));  // only 1 token left, needs 2
 }
 
-TEST(PetriNet, InhibitorArcDisables) {
-  PetriNet net;
-  const PlaceId a = net.add_place("A", 1);
-  const PlaceId block = net.add_place("Block", 1);
-  const TransitionId t = net.add_timed_transition("go", 1.0);
-  net.input_arc(t, a).inhibitor_arc(t, block);
-  EXPECT_FALSE(net.is_enabled(t, net.initial_marking()));
-  Marking m = net.initial_marking();
-  m[block] = 0;
-  EXPECT_TRUE(net.is_enabled(t, m));
-}
-
 TEST(PetriNet, GuardsAndMarkingDependentRates) {
   PetriNet net;
   const PlaceId a = net.add_place("A", 3);

@@ -7,11 +7,16 @@
 #include "models/app_server.h"
 #include "models/hadb_pair.h"
 #include "models/params.h"
-#include "models/spn_variants.h"
+#include "check/spn_variants.h"
 #include "spn/reachability.h"
 
 namespace rascal::models {
 namespace {
+
+using check::app_server_spn;
+using check::app_server_spn_reward;
+using check::hadb_pair_spn;
+using check::hadb_pair_spn_reward;
 
 TEST(HadbPairSpn, GeneratesSixTangibleStates) {
   const auto params = default_parameters();

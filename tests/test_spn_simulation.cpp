@@ -1,15 +1,18 @@
-#include "spn/simulation.h"
+#include "check/spn_simulation.h"
 
 #include <gtest/gtest.h>
 
+#include "check/spn_variants.h"
 #include "core/metrics.h"
 #include "ctmc/steady_state.h"
 #include "models/params.h"
-#include "models/spn_variants.h"
 #include "spn/reachability.h"
 
 namespace rascal::spn {
 namespace {
+
+using check::simulate_spn;
+using check::SpnSimOptions;
 
 // M/M/1/K queue: simulated utilization must match the generated-CTMC
 // solution.
@@ -75,8 +78,8 @@ TEST(SpnSimulation, HadbPairSpnMatchesGeneratedChain) {
   stressed.set("hadb_La_hadb", 200.0 / 8760.0)
       .set("hadb_La_os", 100.0 / 8760.0)
       .set("hadb_La_hw", 100.0 / 8760.0);
-  const PetriNet net = models::hadb_pair_spn(stressed);
-  const auto reward = models::hadb_pair_spn_reward();
+  const PetriNet net = check::hadb_pair_spn(stressed);
+  const auto reward = check::hadb_pair_spn_reward();
   const auto generated = generate_ctmc(net, reward);
   const double analytic =
       core::solve_availability(generated.chain).availability;

@@ -7,11 +7,13 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/ks_test.h"
+#include "check/ks_test.h"
 #include "stats/rng.h"
 
 namespace rascal::stats {
 namespace {
+
+using check::ks_test;
 
 double uniform01_cdf(double x) { return std::clamp(x, 0.0, 1.0); }
 

@@ -175,8 +175,9 @@ int usage() {
          "\n"
          "  exit codes: 0 ok; 1 internal error; 2 usage; 3 model/"
          "validation error\n"
-         "    (incl. failed/shed/lost batch records); 4 nonconvergence"
-         " or deadline;\n"
+         "    (incl. failed/shed/lost batch records); 4 nonconvergence or"
+         " transient\n"
+         "    faults on every allowed attempt, or deadline;\n"
          "    128+N interrupted by signal N\n";
   return kExitUsage;
 }
@@ -1075,9 +1076,6 @@ int main(int argc, char** argv) {
     // command without index-granular draining).
     std::cerr << "cancelled: " << e.what() << "\n";
     code = interrupted_exit_code();
-  } catch (const ctmc::NonConvergenceError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    code = kExitNonConvergence;
   } catch (const resil::CheckpointError& e) {
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
@@ -1097,8 +1095,11 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
   } catch (const std::exception& e) {
+    // Nonconvergence and transient faults: every allowed attempt failed
+    // in a way another attempt could have changed.
     std::cerr << "error: " << e.what() << "\n";
-    code = kExitInternal;
+    code = resil::retryable(resil::classify(e)) ? kExitNonConvergence
+                                                : kExitInternal;
   }
   if (session) finalize_telemetry(args, *session);
   return code;

@@ -20,7 +20,6 @@ Every unreached function must be in allowlist.txt with exactly one
 reason:
     reference: Suite.Test   the test compares a production path against it
     test-api: Suite.Test    the test uses it as API
-    roadmap-2               src/rbd, which ROADMAP item 2 will decide
 The audit fails on an unreached function missing from the allowlist, on
 an allowlisted function that is now reached or no longer exported, and
 on a reason that names no test under tests/.  The allowlist only
@@ -57,7 +56,7 @@ EXCLUDED_ARCHIVES = {"librascal_check.a"}
 
 NM_LINE = re.compile(r"^[0-9a-fA-F]*\s+([A-Za-z])\s+(.+)$")
 CODE_TYPES = set("TtWwi")
-REASON = re.compile(r"^(?:(?:reference|test-api): (\S+)|roadmap-2)$")
+REASON = re.compile(r"^(?:reference|test-api): (\S+)$")
 
 
 def nm_symbols(nm, path, types):
@@ -118,7 +117,7 @@ def check(archives, binaries, allowlist_path, source_root, nm="nm"):
         m = REASON.match(reason)
         if not m:
             errors.append(f"bad reason '{reason}' for {symbol}")
-        elif m.group(1) and m.group(1) not in tests:
+        elif m.group(1) not in tests:
             errors.append(f"reason names no test under tests/: '{reason}' "
                           f"for {symbol}")
         if symbol not in exported:
@@ -174,8 +173,11 @@ def build(build_dir, source_root):
     run("cmake", "-S", source_root / "e2ebench", "-B", e2e_dir, *AUDIT_FLAGS)
     run("cmake", "--build", e2e_dir, "-j", jobs, "--target", "e2e_bench")
 
+    # Only the libraries the source tree still declares: a reused build
+    # directory keeps the archives of deleted ones.
     archives = [p for p in sorted(build_dir.glob("src/*/librascal_*.a"))
-                if p.name not in EXCLUDED_ARCHIVES]
+                if p.name not in EXCLUDED_ARCHIVES
+                and p.name[len("lib"):-len(".a")] in libraries]
     binaries = ([build_dir / "tools/rascal_cli"] +
                 [build_dir / "examples" / n for n in examples] +
                 [build_dir / "bench" / n for n in benches] +

@@ -4,8 +4,8 @@
 Canned `nm` listings stand in for the library archives and the shipped
 binaries: a mock nm prints the listing file it is given.  The test
 asserts the audit verdict for a clean tree, a new unreached function,
-stale allowlist entries (now reached, or no longer exported) and a
-reason that names no test.
+stale allowlist entries (now reached, or no longer exported), an
+unknown reason and a reason that names no test.
 """
 
 import pathlib
@@ -101,6 +101,12 @@ def main():
                 "0000000000000010 T rascal::helper(int)\n", ""),
                       BINARY, ALLOWLIST),
             1, "allowlisted but no longer exported: rascal::helper(int)"))
+
+        results.append(expect(
+            "the retired roadmap-2 reason fails",
+            run_audit(tmp, mock, ARCHIVE, BINARY,
+                      "rascal::helper(int)  # roadmap-2\n"),
+            1, "bad reason 'roadmap-2'"))
 
         results.append(expect(
             "reason naming no test fails",
