@@ -684,11 +684,14 @@ OracleReport check_krylov_plan_consensus(
         linalg::KrylovOptions options;
         options.precond = precond;
         const auto fresh = outcome_of<linalg::KrylovResult>([&] {
+          // Its values come from the layout's transpose of the
+          // generator, not from krylov_stationary's scatter of the
+          // chain's rates into the slots.
+          linalg::KrylovPlan plan;
+          plan.layout(0, chain.sparse_generator());
           return method == ctmc::SteadyStateMethod::kGmres
-                     ? linalg::gmres_stationary(chain.sparse_generator(),
-                                                options)
-                     : linalg::bicgstab_stationary(chain.sparse_generator(),
-                                                   options);
+                     ? linalg::gmres_stationary(plan, options)
+                     : linalg::bicgstab_stationary(plan, options);
         });
         options.workspace = &workspace;
         const auto planned = outcome_of<linalg::KrylovResult>(

@@ -148,9 +148,11 @@ struct OracleOptions {
 /// For GMRES and BiCGStab, each with none, jacobi and ilu0, solves
 /// `chains` in order through one workspace with
 /// ctmc::krylov_stationary, so every solve after the first meets the
-/// plan the chains before it left.  Each solve must reproduce a fresh
-/// linalg::gmres_stationary / bicgstab_stationary(
-/// chain.sparse_generator(), ...): the same probability bits,
+/// plan the chains before it left.  Each solve must reproduce
+/// linalg::gmres_stationary / bicgstab_stationary on a fresh plan laid
+/// out from chain.sparse_generator(), whose values come from the
+/// layout and not from the slots krylov_stationary scatters the
+/// chain's rates through: the same probability bits,
 /// iteration count, residual bits and flags, or the same exception
 /// type and message (an ILU(0) or Jacobi rejection included).  The
 /// same chains also go through one SolveCache with sparse_threshold 1

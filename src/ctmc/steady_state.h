@@ -134,10 +134,11 @@ struct SteadyState {
 /// chain's nonzero Ctmc::pattern_id, and laid out again from
 /// chain.sparse_generator() otherwise; either way a solve scatters the
 /// chain's rates into it.  Bit-identical to linalg::gmres_stationary /
-/// bicgstab_stationary(chain.sparse_generator(), options) in the
-/// distribution, iteration count and residual, and throws what they
-/// throw, linalg::PrecondError included (gated by
-/// check::check_krylov_plan_consensus).  No structural check runs.
+/// bicgstab_stationary(plan, options) on a fresh plan laid out from
+/// chain.sparse_generator() in the distribution, iteration count and
+/// residual, and throws what they throw, linalg::PrecondError included
+/// (gated by check::check_krylov_plan_consensus).  No structural check
+/// runs.
 [[nodiscard]] linalg::KrylovResult krylov_stationary(
     const Ctmc& chain, SteadyStateMethod method,
     const linalg::KrylovOptions& options);

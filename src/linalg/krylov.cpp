@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "resil/chaos.h"
@@ -24,17 +23,6 @@ std::size_t chaos_capped_budget(std::size_t max_iterations) {
   return max_iterations;
 }
 
-void require_system(const CsrMatrix& a, const Vector& b, const char* who) {
-  if (a.rows() != a.cols() || a.rows() == 0) {
-    throw std::invalid_argument(std::string(who) +
-                                ": matrix must be square and non-empty");
-  }
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": right-hand side size mismatch");
-  }
-}
-
 // Scalar-recurrence breakdown guard: denominators this close to zero
 // (or non-finite) would poison the iterate with Inf/NaN.
 constexpr double kBreakdownFloor = 1e-280;
@@ -43,25 +31,13 @@ bool broke(double denom) {
   return !std::isfinite(denom) || std::abs(denom) < kBreakdownFloor;
 }
 
-// The methods iterate on any system with y = A x (multiply_into) and
-// any preconditioner with z = M^{-1} r (apply): a CsrMatrix with a
-// Preconditioner, or a KrylovPlan, which is both.  One template per
-// method keeps one operation sequence, so a plan's solve has the bits
-// of the matrix path's.
-
-template <typename System, typename Precond>
-KrylovResult run_gmres(const System& a, const Precond& precond,
-                       const Vector& b, Vector x, const KrylovOptions& options,
-                       SolveWorkspace& ws) {
+// The methods run on the plan's system: y = A x is multiply_into and
+// z = M^{-1} r is apply, with the preconditioner last factored.
+KrylovResult run_gmres(const KrylovPlan& a, const Vector& b, Vector x,
+                       const KrylovOptions& options, SolveWorkspace& ws) {
   const std::size_t n = b.size();
   KrylovResult result;
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-  const double target = options.tolerance * bnorm;
+  const double target = options.tolerance * norm2(b);
   const std::size_t max_it = chaos_capped_budget(options.max_iterations);
   const std::size_t m = std::max<std::size_t>(
       1, std::min<std::size_t>(options.restart, n));
@@ -103,7 +79,7 @@ KrylovResult run_gmres(const System& a, const Precond& precond,
         result.cancelled = true;
         break;
       }
-      precond.apply(basis[j], z);
+      a.apply(basis[j], z);
       a.multiply_into(z, w);
       ++result.iterations;
 
@@ -200,7 +176,7 @@ KrylovResult run_gmres(const System& a, const Precond& precond,
       const Vector& vi = basis[i];
       for (std::size_t t = 0; t < n; ++t) vy[t] += yi * vi[t];
     }
-    precond.apply(vy, z);
+    a.apply(vy, z);
     for (std::size_t t = 0; t < n; ++t) x[t] += z[t];
 
     // Restart decisions use the true residual, not the Givens
@@ -220,19 +196,11 @@ KrylovResult run_gmres(const System& a, const Precond& precond,
   return result;
 }
 
-template <typename System, typename Precond>
-KrylovResult run_bicgstab(const System& a, const Precond& precond,
-                          const Vector& b, Vector x,
+KrylovResult run_bicgstab(const KrylovPlan& a, const Vector& b, Vector x,
                           const KrylovOptions& options, SolveWorkspace& ws) {
   const std::size_t n = b.size();
   KrylovResult result;
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-  const double target = options.tolerance * bnorm;
+  const double target = options.tolerance * norm2(b);
   const std::size_t max_it = chaos_capped_budget(options.max_iterations);
 
   Vector& r = ws.sparse_vec(0, n);
@@ -280,7 +248,7 @@ KrylovResult run_bicgstab(const System& a, const Precond& precond,
         p[i] = r[i] + beta * (p[i] - omega * v[i]);
       }
     }
-    precond.apply(p, phat);
+    a.apply(p, phat);
     a.multiply_into(phat, v);
     ++result.iterations;
     const double den = dot(rhat, v);
@@ -313,7 +281,7 @@ KrylovResult run_bicgstab(const System& a, const Precond& precond,
       continue;
     }
 
-    precond.apply(s, shat);
+    a.apply(s, shat);
     a.multiply_into(shat, tv);
     ++result.iterations;
     const double tt = dot(tv, tv);
@@ -359,77 +327,6 @@ KrylovResult run_bicgstab(const System& a, const Precond& precond,
   return result;
 }
 
-// GMRES or BiCGStab on A x = b from the iterate x0, preconditioned as
-// options.precond asks.
-KrylovResult solve_from(const CsrMatrix& a, const Vector& b, Vector x0,
-                        const KrylovOptions& options, bool use_gmres) {
-  std::optional<SolveWorkspace> local_ws;
-  SolveWorkspace& ws =
-      options.workspace != nullptr ? *options.workspace : local_ws.emplace();
-  const auto precond = make_preconditioner(options.precond, a);
-  return use_gmres
-             ? run_gmres(a, *precond, b, std::move(x0), options, ws)
-             : run_bicgstab(a, *precond, b, std::move(x0), options, ws);
-}
-
-}  // namespace
-
-KrylovResult gmres(const CsrMatrix& a, const Vector& b,
-                   const KrylovOptions& options) {
-  require_system(a, b, "gmres");
-  return solve_from(a, b, Vector(b.size(), 0.0), options, /*use_gmres=*/true);
-}
-
-KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
-                      const KrylovOptions& options) {
-  require_system(a, b, "bicgstab");
-  return solve_from(a, b, Vector(b.size(), 0.0), options,
-                    /*use_gmres=*/false);
-}
-
-CsrMatrix stationary_system(const CsrMatrix& q) {
-  if (q.rows() != q.cols() || q.rows() == 0) {
-    throw std::invalid_argument(
-        "stationary_system: generator must be square and non-empty");
-  }
-  const std::size_t n = q.rows();
-  const std::vector<std::size_t>& rp = q.row_ptr();
-  const std::vector<std::size_t>& ci = q.col_idx();
-  const std::vector<double>& vv = q.values();
-
-  // Counting-sort transpose with output row n-1 (the balance equation
-  // being replaced) rerouted to the all-ones normalization row.
-  std::vector<std::size_t> a_row_ptr(n + 1, 0);
-  for (std::size_t k = 0; k < q.non_zeros(); ++k) {
-    if (ci[k] != n - 1) ++a_row_ptr[ci[k] + 1];
-  }
-  a_row_ptr[n] = n;  // the dense normalization row
-  for (std::size_t c = 0; c < n; ++c) a_row_ptr[c + 1] += a_row_ptr[c];
-
-  const std::size_t nnz = a_row_ptr[n];
-  std::vector<std::size_t> a_col_idx(nnz);
-  std::vector<double> a_values(nnz);
-  std::vector<std::size_t> cursor(a_row_ptr.begin(), a_row_ptr.end() - 1);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const std::size_t c = ci[k];
-      if (c == n - 1) continue;
-      const std::size_t slot = cursor[c]++;
-      a_col_idx[slot] = r;  // increasing r keeps each row column-sorted
-      a_values[slot] = vv[k];
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t slot = cursor[n - 1]++;
-    a_col_idx[slot] = j;
-    a_values[slot] = 1.0;
-  }
-  return CsrMatrix::from_parts(n, n, std::move(a_row_ptr),
-                               std::move(a_col_idx), std::move(a_values));
-}
-
-namespace {
-
 // The stationary solution's finish: clamp tiny negative round-off,
 // then renormalize (guarded so a diverged iterate is returned as-is).
 void clamp_and_normalize(Vector& x) {
@@ -441,25 +338,12 @@ void clamp_and_normalize(Vector& x) {
   if (sum > 0.0 && std::isfinite(sum)) normalize_to_sum_one(x);
 }
 
-KrylovResult solve_stationary(const CsrMatrix& q, const KrylovOptions& options,
-                              bool use_gmres) {
-  const CsrMatrix a = stationary_system(q);
-  const std::size_t n = q.rows();
-  Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  KrylovResult result = solve_from(
-      a, b, Vector(n, 1.0 / static_cast<double>(n)), options, use_gmres);
-  clamp_and_normalize(result.x);
-  return result;
-}
-
 // The workspace slot of a plan solve's right-hand side b = e_{n-1};
 // the methods use slots 0-8.
 constexpr std::size_t kRhsSlot = 9;
 
-// solve_stationary(q, ...) on a plan: the same b, starting iterate,
-// preconditioner and method, with the numeric factorization standing
-// in for make_preconditioner.
+// GMRES or BiCGStab on the plan's system, with b = e_{n-1}, from the
+// uniform distribution, preconditioned as options.precond asks.
 KrylovResult solve_stationary(KrylovPlan& plan, const KrylovOptions& options,
                               bool use_gmres) {
   const std::size_t n = plan.rows();
@@ -472,26 +356,15 @@ KrylovResult solve_stationary(KrylovPlan& plan, const KrylovOptions& options,
   plan.factor(options.precond);
   Vector& b = ws.sparse_vec(kRhsSlot, n);
   b[n - 1] = 1.0;
-  // The plan is both the system and its preconditioner.
   Vector x0(n, 1.0 / static_cast<double>(n));
   KrylovResult result =
-      use_gmres ? run_gmres(plan, plan, b, std::move(x0), options, ws)
-                : run_bicgstab(plan, plan, b, std::move(x0), options, ws);
+      use_gmres ? run_gmres(plan, b, std::move(x0), options, ws)
+                : run_bicgstab(plan, b, std::move(x0), options, ws);
   clamp_and_normalize(result.x);
   return result;
 }
 
 }  // namespace
-
-KrylovResult gmres_stationary(const CsrMatrix& q,
-                              const KrylovOptions& options) {
-  return solve_stationary(q, options, /*use_gmres=*/true);
-}
-
-KrylovResult bicgstab_stationary(const CsrMatrix& q,
-                                 const KrylovOptions& options) {
-  return solve_stationary(q, options, /*use_gmres=*/false);
-}
 
 KrylovResult gmres_stationary(KrylovPlan& plan, const KrylovOptions& options) {
   return solve_stationary(plan, options, /*use_gmres=*/true);

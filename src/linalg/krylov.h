@@ -1,9 +1,18 @@
-// Sparse Krylov-subspace solvers: GMRES(m) and BiCGStab.
+// Sparse Krylov-subspace solvers: GMRES(m) and BiCGStab for the
+// stationary distribution of a CTMC generator.
 //
 // The dense solvers (gth.h, lu.h) hold an n x n Matrix — 8 n^2 bytes
 // — which stops being an option around 10^4 states.  The Krylov
-// methods here touch A only through a CSR matvec, so a million-state
-// k-of-n replication model solves in O(nnz) memory.
+// methods here touch the system only through a CSR matvec, so a
+// million-state k-of-n replication model solves in O(nnz) memory.
+//
+// They solve pi Q = 0, sum(pi) = 1 through the normalized augmented
+// system — Q^T with the last balance row replaced by the all-ones
+// normalization row, b = e_{n-1} — the sparse analogue of the LU
+// reference in check/reference_solvers.h.  A Krylov plan
+// (krylov_plan.h) holds that system and its preconditioner, and is the
+// only system the methods run on: to solve a CSR generator q, lay a
+// plan out for it and solve the plan.
 //
 // Both methods are right-preconditioned (they solve A M^{-1} y = b,
 // x = M^{-1} y), so the residual they monitor is the true residual of
@@ -12,18 +21,12 @@
 // sequence is deterministic: single-accumulator dot products and
 // matvecs, no reductions whose order depends on thread count, so
 // repeated solves (and workspace-reusing solves) are bit-identical.
-//
-// The stationary wrappers solve pi Q = 0, sum(pi) = 1 through the
-// normalized augmented system — Q^T with the last balance row
-// replaced by the all-ones normalization row, b = e_{n-1} — the
-// sparse analogue of the LU reference in check/reference_solvers.h.
 #pragma once
 
 #include <cstddef>
 
 #include "linalg/krylov_plan.h"
 #include "linalg/precond.h"
-#include "linalg/sparse.h"
 #include "linalg/workspace.h"
 #include "resil/cancel.h"
 
@@ -62,41 +65,15 @@ struct KrylovResult {
   bool breakdown = false;  // BiCGStab scalar recurrence broke down
 };
 
-/// Restarted GMRES with modified Gram-Schmidt and Givens rotations,
-/// started from x = 0.
-/// Throws std::invalid_argument on shape mismatch and PrecondError
-/// when the preconditioner rejects A's pattern.
-[[nodiscard]] KrylovResult gmres(const CsrMatrix& a, const Vector& b,
-                                 const KrylovOptions& options = {});
-
-/// BiCGStab; a detected scalar breakdown stops the solve with
-/// `breakdown = true` (and `converged = false`) rather than producing
-/// NaNs.  Same exceptions as gmres().
-[[nodiscard]] KrylovResult bicgstab(const CsrMatrix& a, const Vector& b,
-                                    const KrylovOptions& options = {});
-
-/// The normalized augmented stationary system for a generator Q (see
-/// file comment).  O(nnz + n); the returned matrix has one fully
-/// dense row (the normalization row).
-[[nodiscard]] CsrMatrix stationary_system(const CsrMatrix& q);
-
-/// Stationary distribution of the CTMC generator Q via GMRES /
-/// BiCGStab on the augmented system, started from the uniform
-/// distribution; the solution is clamped and normalized exactly like
-/// the LU reference.  Builds the system and the preconditioner anew
-/// on every call.
-[[nodiscard]] KrylovResult gmres_stationary(const CsrMatrix& q,
-                                            const KrylovOptions& options = {});
-[[nodiscard]] KrylovResult bicgstab_stationary(
-    const CsrMatrix& q, const KrylovOptions& options = {});
-
-/// The same solves on a laid-out Krylov plan whose values() hold the
-/// generator's entries (krylov_plan.h): only the numeric
-/// factorization and the method run.  For a plan laid out for Q and
-/// filled with Q's values, bit-identical to the overloads above:
-/// same distribution, iteration count and residual, and the same
-/// exceptions.  Throws std::invalid_argument when the plan has no
-/// layout.
+/// Stationary distribution of the generator a laid-out Krylov plan
+/// holds in values() (krylov_plan.h): factors options.precond on the
+/// plan, then runs restarted GMRES (modified Gram-Schmidt, Givens
+/// rotations) or BiCGStab on it from the uniform distribution.  The
+/// solution is clamped and normalized exactly like the LU reference.
+/// A BiCGStab scalar breakdown stops the solve with `breakdown = true`
+/// (and `converged = false`) rather than producing NaNs.  Throws
+/// PrecondError when the preconditioner rejects the system, and
+/// std::invalid_argument when the plan has no layout.
 [[nodiscard]] KrylovResult gmres_stationary(KrylovPlan& plan,
                                             const KrylovOptions& options = {});
 [[nodiscard]] KrylovResult bicgstab_stationary(

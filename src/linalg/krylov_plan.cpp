@@ -15,10 +15,11 @@ void KrylovPlan::layout(std::uint64_t pattern_id, const CsrMatrix& q) {
   ilu_analyzed_ = false;
   const std::vector<std::size_t>& rp = q.row_ptr();
   const std::vector<std::size_t>& ci = q.col_idx();
+  const std::vector<double>& vv = q.values();
 
-  // The counting-sort transpose of stationary_system, with output row
-  // n-1 (the balance equation being replaced) rerouted to the all-ones
-  // normalization row.
+  // A counting-sort transpose of q with output row n-1 (the balance
+  // equation being replaced) rerouted to the all-ones normalization
+  // row.
   row_ptr_.assign(n + 1, 0);
   for (std::size_t k = 0; k < q.non_zeros(); ++k) {
     if (ci[k] != n - 1) ++row_ptr_[ci[k] + 1];
@@ -28,7 +29,7 @@ void KrylovPlan::layout(std::uint64_t pattern_id, const CsrMatrix& q) {
 
   const std::uint32_t nnz = row_ptr_[n];
   col_idx_.resize(nnz);
-  values_.assign(nnz, 0.0);
+  values_.resize(nnz);  // every slot is written below
   off_diagonal_slots_.clear();
   off_diagonal_slots_.reserve(q.non_zeros());
   diagonal_slots_.assign(n, kNoSlot);
@@ -41,6 +42,7 @@ void KrylovPlan::layout(std::uint64_t pattern_id, const CsrMatrix& q) {
         slot = cursor[c]++;
         // Increasing r keeps each row column-sorted.
         col_idx_[slot] = static_cast<std::uint32_t>(r);
+        values_[slot] = vv[k];
       }
       if (c == r) {
         diagonal_slots_[r] = slot;

@@ -2,12 +2,12 @@
 // pattern, laid out once and refilled for every solve of that pattern.
 //
 // The Krylov stationary solvers (krylov.h) iterate on A = Q^T with
-// the last balance row replaced by the all-ones normalization row.
-// Solving that system from a generator Q means building Q's CSR
-// arrays, transposing them and factoring the preconditioner, and all
-// of it depends only on where Q's entries are.  Uncertainty analysis
-// solves one pattern again at every draw, so a plan keeps the
-// pattern-only work:
+// the last balance row replaced by the all-ones normalization row, and
+// a plan is the only system they run on.  Solving that system from a
+// generator Q means transposing Q's CSR arrays and factoring the
+// preconditioner, and all of it but the values depends only on where
+// Q's entries are.  Uncertainty analysis solves one pattern again at
+// every draw, so a plan keeps the pattern-only work:
 //
 //  - A's CSR pattern (32-bit indices) with the normalization row;
 //  - the slot in A's value array of each off-diagonal entry and of
@@ -16,10 +16,17 @@
 //  - the symbolic ILU(0) pass (Ilu0Factors::analyze), run on the first
 //    ILU(0) solve of the pattern.
 //
-// A solve then writes values(), factors its preconditioner
-// numerically and runs the unchanged GMRES or BiCGStab.  The results
-// are bit-identical to a solve through stationary_system and
-// make_preconditioner (oracle-gated, check_krylov_plan_consensus).
+// layout() also copies Q's values, so laying a plan out and solving it
+// is the one way to solve a CSR generator:
+//
+//   KrylovPlan plan;
+//   plan.layout(0, q);
+//   KrylovResult result = gmres_stationary(plan, options);
+//
+// A later solve of the same pattern writes values() through the slots,
+// factors its preconditioner numerically and runs GMRES or BiCGStab.
+// check_krylov_plan_consensus holds every such reuse bit-identical to
+// a fresh plan laid out from the same generator.
 //
 // A plan belongs to one SolveWorkspace and so to one worker; it is
 // never shared between threads.
@@ -52,10 +59,10 @@ class KrylovPlan {
     return pattern_id_;
   }
 
-  /// Lays the plan out for the pattern of the generator `q` (its
-  /// values are ignored).  Throws std::invalid_argument when q is not
-  /// square and non-empty, and std::length_error when A does not fit
-  /// 32-bit indices.
+  /// Lays the plan out for the pattern of the generator `q` and fills
+  /// values() with A's entries from q.  Throws std::invalid_argument
+  /// when q is not square and non-empty, and std::length_error when A
+  /// does not fit 32-bit indices.
   void layout(std::uint64_t pattern_id, const CsrMatrix& q);
 
   /// The slot in values() of each off-diagonal entry of q, in q's
@@ -70,9 +77,9 @@ class KrylovPlan {
     return diagonal_slots_;
   }
 
-  /// A's values, parallel to its pattern.  The normalization row's
-  /// ones are written by layout(); every other slot is the caller's
-  /// to fill before each solve.
+  /// A's values, parallel to its pattern: layout() writes q's entries
+  /// and the normalization row's ones, and a caller solving another
+  /// generator of the same pattern overwrites the slots above.
   [[nodiscard]] std::span<double> values() noexcept { return values_; }
 
   [[nodiscard]] std::size_t rows() const noexcept {
@@ -80,17 +87,22 @@ class KrylovPlan {
   }
 
   /// Numeric pass of preconditioner `kind` on the current values.
-  /// Throws the PrecondError that make_preconditioner(kind, A) would.
+  /// Throws PrecondError [P002] (jacobi) or [P003]/[P004] (ilu0) when
+  /// A cannot be factored (precond.h).
   void factor(PrecondKind kind);
 
-  /// y = A x, in CsrMatrix::multiply_into's accumulation order (y is
-  /// resized; x and y may not alias).
+  /// y = A x, accumulating each row in column order (y is resized; x
+  /// and y may not alias).
   void multiply_into(const Vector& x, Vector& y) const;
 
   /// z = M^{-1} r with the preconditioner last factored (z is
-  /// resized; r and z may not alias).  Same operations as the
-  /// matching Preconditioner::apply.
+  /// resized; r and z may not alias).
   void apply(const Vector& r, Vector& z) const;
+
+  /// A's pattern, as its preconditioners factor it.
+  [[nodiscard]] CsrPatternView pattern() const noexcept {
+    return {row_ptr_, col_idx_};
+  }
 
   /// Heap bytes held by the plan.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
@@ -103,10 +115,6 @@ class KrylovPlan {
   }
 
  private:
-  [[nodiscard]] CsrPatternView<std::uint32_t> pattern() const noexcept {
-    return {row_ptr_, col_idx_};
-  }
-
   std::uint64_t pattern_id_ = 0;
   // A's pattern with 32-bit indices.
   std::vector<std::uint32_t> row_ptr_;

@@ -7,14 +7,7 @@ namespace rascal::linalg {
 
 namespace {
 
-void require_square(const CsrMatrix& a, const char* who) {
-  if (a.rows() != a.cols() || a.rows() == 0) {
-    throw PrecondError("P001", std::string(who) + ": matrix must be square "
-                                   "and non-empty (" +
-                                   std::to_string(a.rows()) + "x" +
-                                   std::to_string(a.cols()) + ")");
-  }
-}
+constexpr std::uint32_t kNoPosition = static_cast<std::uint32_t>(-1);
 
 constexpr std::pair<PrecondKind, const char*> kPrecondNames[] = {
     {PrecondKind::kNone, "none"},
@@ -41,10 +34,6 @@ bool parse_precond(const std::string& name, PrecondKind& out) noexcept {
   return false;
 }
 
-void IdentityPreconditioner::apply(const Vector& r, Vector& z) const {
-  z = r;
-}
-
 double jacobi_inverse(double d, std::size_t row) {
   if (d == 0.0 || !std::isfinite(d)) {
     throw PrecondError("P002", "jacobi: zero or missing diagonal at row " +
@@ -53,52 +42,12 @@ double jacobi_inverse(double d, std::size_t row) {
   return 1.0 / d;
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
-  require_square(a, "jacobi");
-  const std::size_t n = a.rows();
-  inv_diag_.assign(n, 0.0);
-  const std::vector<std::size_t>& rp = a.row_ptr();
-  const std::vector<std::size_t>& ci = a.col_idx();
-  const std::vector<double>& vv = a.values();
-  for (std::size_t r = 0; r < n; ++r) {
-    double d = 0.0;
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) {
-        d = vv[k];
-        break;
-      }
-    }
-    inv_diag_[r] = jacobi_inverse(d, r);
-  }
-}
-
-void JacobiPreconditioner::apply(const Vector& r, Vector& z) const {
-  const std::size_t n = inv_diag_.size();
-  z.resize(n);
-  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] * inv_diag_[i];
-}
-
-namespace {
-
-constexpr std::uint32_t kNoPosition = static_cast<std::uint32_t>(-1);
-
-}  // namespace
-
-template <typename Index>
-void Ilu0Factors::start(CsrPatternView<Index> pattern) {
-  require_32bit_indices(pattern.col_idx.size(), "ilu0");
-  diag_.assign(pattern.rows(), kNoPosition);
-  updates_.clear();
-  bad_row_ = pattern.rows();
-}
-
-template <bool kFactor, typename Index>
-bool Ilu0Factors::eliminate_row(CsrPatternView<Index> pattern, std::size_t i,
+bool Ilu0Factors::eliminate_row(CsrPatternView pattern, std::size_t i,
                                 std::vector<std::uint32_t>& iw) {
-  const std::span<const Index> rp = pattern.row_ptr;
-  const std::span<const Index> ci = pattern.col_idx;
-  const auto b = static_cast<std::uint32_t>(rp[i]);
-  const auto e = static_cast<std::uint32_t>(rp[i + 1]);
+  const std::span<const std::uint32_t> rp = pattern.row_ptr;
+  const std::span<const std::uint32_t> ci = pattern.col_idx;
+  const std::uint32_t b = rp[i];
+  const std::uint32_t e = rp[i + 1];
   if (b == e) {
     bad_row_ = i;
     return false;
@@ -109,28 +58,17 @@ bool Ilu0Factors::eliminate_row(CsrPatternView<Index> pattern, std::size_t i,
   // (the row is column-sorted); each one updates only the positions of
   // its pivot row's upper part that lie inside row i's own pattern,
   // the defining ILU(0) restriction.  Row ci[k] was eliminated
-  // earlier, so its pivot is present (and, when factoring, nonzero).
+  // earlier, so its pivot is present.
   for (std::uint32_t k = b; k < e && ci[k] < i; ++k) {
-    const std::size_t col = ci[k];
-    double factor = 0.0;
-    std::size_t count_at = 0;
-    if constexpr (kFactor) {
-      lu_[k] /= lu_[diag_[col]];
-      factor = lu_[k];
-    } else {
-      count_at = updates_.size();
-      updates_.push_back(0);
-    }
+    const std::uint32_t col = ci[k];
+    const std::size_t count_at = updates_.size();
+    updates_.push_back(0);
     for (std::uint32_t kk = diag_[col] + 1; kk < rp[col + 1]; ++kk) {
       const std::uint32_t pos = iw[ci[kk]];
       if (pos == kNoPosition) continue;
-      if constexpr (kFactor) {
-        lu_[pos] -= factor * lu_[kk];
-      } else {
-        updates_.push_back(pos);
-        updates_.push_back(kk);
-        ++updates_[count_at];
-      }
+      updates_.push_back(pos);
+      updates_.push_back(kk);
+      ++updates_[count_at];
     }
   }
   const std::uint32_t di = iw[i];
@@ -143,9 +81,7 @@ bool Ilu0Factors::eliminate_row(CsrPatternView<Index> pattern, std::size_t i,
   return true;
 }
 
-template <typename Index>
-void Ilu0Factors::check_row(CsrPatternView<Index> pattern,
-                            std::size_t i) const {
+void Ilu0Factors::check_row(CsrPatternView pattern, std::size_t i) const {
   if (i == bad_row_) {
     if (pattern.row_ptr[i] == pattern.row_ptr[i + 1]) {
       throw PrecondError(
@@ -162,29 +98,32 @@ void Ilu0Factors::check_row(CsrPatternView<Index> pattern,
   }
 }
 
-template <typename Index>
-void Ilu0Factors::analyze(CsrPatternView<Index> pattern) {
-  start(pattern);
+void Ilu0Factors::analyze(CsrPatternView pattern) {
+  require_32bit_indices(pattern.col_idx.size(), "ilu0");
+  diag_.assign(pattern.rows(), kNoPosition);
+  updates_.clear();
+  bad_row_ = pattern.rows();
   // iw maps column -> position inside the current row (kNoPosition
   // when the column is outside the row's pattern); reset per row so
   // the pass stays O(sum over rows of row-length * work).
   std::vector<std::uint32_t> iw(pattern.rows(), kNoPosition);
   for (std::size_t i = 0; i < pattern.rows(); ++i) {
-    if (!eliminate_row<false>(pattern, i, iw)) return;
+    if (!eliminate_row(pattern, i, iw)) return;
   }
 }
 
-template <typename Index>
-void Ilu0Factors::factor(CsrPatternView<Index> pattern,
+void Ilu0Factors::factor(CsrPatternView pattern,
                          std::span<const double> values) {
-  const std::span<const Index> rp = pattern.row_ptr;
-  const std::span<const Index> ci = pattern.col_idx;
+  const std::span<const std::uint32_t> rp = pattern.row_ptr;
+  const std::span<const std::uint32_t> ci = pattern.col_idx;
   lu_.assign(values.begin(), values.end());
   const std::uint32_t* update = updates_.data();
   for (std::size_t i = 0; i < pattern.rows(); ++i) {
     if (i != bad_row_) {
-      // The recorded updates, with eliminate_row<true>'s arithmetic.
-      for (auto k = static_cast<std::uint32_t>(rp[i]); k < diag_[i]; ++k) {
+      // Row i's recorded updates: divide each strictly-lower entry by
+      // its column's pivot, then subtract its multiple of the pivot
+      // row's upper part.
+      for (std::uint32_t k = rp[i]; k < diag_[i]; ++k) {
         lu_[k] /= lu_[diag_[ci[k]]];
         const double factor = lu_[k];
         const std::uint32_t count = *update++;
@@ -197,24 +136,11 @@ void Ilu0Factors::factor(CsrPatternView<Index> pattern,
   }
 }
 
-template <typename Index>
-void Ilu0Factors::factor_once(CsrPatternView<Index> pattern,
-                              std::span<const double> values) {
-  start(pattern);
-  lu_.assign(values.begin(), values.end());
-  std::vector<std::uint32_t> iw(pattern.rows(), kNoPosition);
-  for (std::size_t i = 0; i < pattern.rows(); ++i) {
-    (void)eliminate_row<true>(pattern, i, iw);
-    check_row(pattern, i);
-  }
-}
-
-template <typename Index>
-void Ilu0Factors::solve(CsrPatternView<Index> pattern, const Vector& r,
+void Ilu0Factors::solve(CsrPatternView pattern, const Vector& r,
                         Vector& z) const {
   const std::size_t n = pattern.rows();
-  const Index* rp = pattern.row_ptr.data();
-  const Index* ci = pattern.col_idx.data();
+  const std::uint32_t* rp = pattern.row_ptr.data();
+  const std::uint32_t* ci = pattern.col_idx.data();
   const std::uint32_t* diag = diag_.data();
   const double* lu = lu_.data();
   z.resize(n);
@@ -236,37 +162,6 @@ void Ilu0Factors::solve(CsrPatternView<Index> pattern, const Vector& r,
     }
     zp[i] = acc / lu[diag[i]];
   }
-}
-
-// The Krylov plan factors 32-bit patterns in two passes; a
-// CsrMatrix's preconditioner factors its std::size_t pattern once.
-template void Ilu0Factors::analyze(CsrPatternView<std::uint32_t>);
-template void Ilu0Factors::factor(CsrPatternView<std::uint32_t>,
-                                  std::span<const double>);
-template void Ilu0Factors::solve(CsrPatternView<std::uint32_t>,
-                                 const Vector&, Vector&) const;
-template void Ilu0Factors::factor_once(CsrPatternView<std::size_t>,
-                                       std::span<const double>);
-template void Ilu0Factors::solve(CsrPatternView<std::size_t>, const Vector&,
-                                 Vector&) const;
-
-Ilu0Preconditioner::Ilu0Preconditioner(const CsrMatrix& a) : pattern_(&a) {
-  require_square(a, "ilu0");
-  factors_.factor_once(a.pattern(), a.values());
-}
-
-void Ilu0Preconditioner::apply(const Vector& r, Vector& z) const {
-  factors_.solve(pattern_->pattern(), r, z);
-}
-
-std::unique_ptr<Preconditioner> make_preconditioner(PrecondKind kind,
-                                                    const CsrMatrix& a) {
-  switch (kind) {
-    case PrecondKind::kNone: return std::make_unique<IdentityPreconditioner>();
-    case PrecondKind::kJacobi: return std::make_unique<JacobiPreconditioner>(a);
-    case PrecondKind::kIlu0: return std::make_unique<Ilu0Preconditioner>(a);
-  }
-  throw std::invalid_argument("make_preconditioner: unknown kind");
 }
 
 }  // namespace rascal::linalg

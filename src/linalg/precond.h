@@ -12,15 +12,15 @@
 //    k-of-n replication models produce; costs one extra copy of the
 //    value array.
 //
-// Construction validates the pattern and rejects structurally
-// unusable matrices with a PrecondError carrying a stable lint-style
-// code (catalogued on PrecondError below) instead of dividing by
-// zero at apply time.
+// The Krylov plan (krylov_plan.h) factors and applies both on its
+// own system; this header holds the pieces it uses.  Factoring
+// validates the pattern and rejects structurally unusable systems
+// with a PrecondError carrying a stable lint-style code (catalogued on
+// PrecondError below) instead of dividing by zero at apply time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -46,9 +46,8 @@ enum class PrecondKind {
 [[nodiscard]] bool parse_precond(const std::string& name,
                                  PrecondKind& out) noexcept;
 
-/// Structural rejection during preconditioner construction.  Stable
+/// Structural rejection while a preconditioner is factored.  Stable
 /// diagnostic codes, rendered as "[Pnnn] message":
-///   P001  matrix is not square
 ///   P002  jacobi: zero or missing diagonal entry
 ///   P003  ilu0: empty row (state with no entries at all)
 ///   P004  ilu0: zero pivot (missing diagonal, or eliminated to zero)
@@ -71,43 +70,6 @@ class PrecondError : public std::invalid_argument,
   std::string code_;
 };
 
-class Preconditioner {
- public:
-  virtual ~Preconditioner() = default;
-
-  /// z = M^{-1} r (z is resized; r and z may not alias).  The
-  /// operation sequence is fixed per construction, so repeated
-  /// applies are bit-identical.
-  virtual void apply(const Vector& r, Vector& z) const = 0;
-
-  /// Heap bytes held by the factorization, for the sparse-vs-dense
-  /// memory accounting asserted in tests.
-  [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
-};
-
-/// M = I; lets the solvers run one unconditional code path.
-class IdentityPreconditioner final : public Preconditioner {
- public:
-  void apply(const Vector& r, Vector& z) const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return 0;
-  }
-};
-
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  /// Throws PrecondError [P001]/[P002] (see above).
-  explicit JacobiPreconditioner(const CsrMatrix& a);
-
-  void apply(const Vector& r, Vector& z) const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return inv_diag_.capacity() * sizeof(double);
-  }
-
- private:
-  Vector inv_diag_;
-};
-
 /// Jacobi's entry for row `row` of A: 1 / d for the diagonal entry d
 /// (0 when the row stores none).  Throws PrecondError [P002] when d
 /// is zero or not finite.
@@ -115,18 +77,13 @@ class JacobiPreconditioner final : public Preconditioner {
 
 /// ILU(0) factors: L and U share a pattern's sparsity (no fill-in),
 /// stored as one value array parallel to its col_idx.  One row-wise
-/// elimination decides which updates happen and in which order.  A
-/// pattern refactored with new values (the Krylov plan,
-/// krylov_plan.h) runs it once as a symbolic pass, analyze(), which
-/// finds each row's diagonal and records every update that stays
-/// inside the pattern; the numeric pass, factor(), then replays those
-/// updates on each new value array, arithmetic only.  A matrix
-/// factored once (Ilu0Preconditioner) runs the elimination with the
-/// arithmetic in place of the recording, factor_once(), which saves
-/// writing and rereading the record.  Either way the operations and
-/// their order are the same, so the factors are the same bits.  Every
-/// call takes the pattern the elimination saw; Index is std::uint32_t
-/// for the plan and std::size_t for a CsrMatrix.
+/// elimination decides which updates happen and in which order.  The
+/// symbolic pass, analyze(), runs it once per pattern: it finds each
+/// row's diagonal and records every update that stays inside the
+/// pattern.  The numeric pass, factor(), replays those updates on each
+/// new value array, arithmetic only, so a pattern refactored with new
+/// values (the Krylov plan, krylov_plan.h) pays for the elimination's
+/// bookkeeping once.  Every call takes the pattern analyze() saw.
 class Ilu0Factors {
  public:
   /// Symbolic pass.  Never throws on a pattern: the first row that
@@ -134,26 +91,16 @@ class Ilu0Factors {
   /// recorded, and factor() raises its error when it reaches that
   /// row.  Throws std::length_error when the pattern has 2^32 - 1 or
   /// more entries.
-  template <typename Index>
-  void analyze(CsrPatternView<Index> pattern);
+  void analyze(CsrPatternView pattern);
 
   /// Numeric pass over `values`, parallel to the pattern's col_idx,
   /// replaying the last analyze().  Throws PrecondError [P003]/[P004]
   /// (see above) at the first row that cannot be factored.
-  template <typename Index>
-  void factor(CsrPatternView<Index> pattern, std::span<const double> values);
-
-  /// The elimination with its arithmetic done in place: factor()'s
-  /// result and exceptions without a symbolic pass, and nothing for a
-  /// later factor() to replay.
-  template <typename Index>
-  void factor_once(CsrPatternView<Index> pattern,
-                   std::span<const double> values);
+  void factor(CsrPatternView pattern, std::span<const double> values);
 
   /// z = (LU)^{-1} r with the last factored values (z is resized; r
   /// and z may not alias).
-  template <typename Index>
-  void solve(CsrPatternView<Index> pattern, const Vector& r, Vector& z) const;
+  void solve(CsrPatternView pattern, const Vector& r, Vector& z) const;
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return lu_.capacity() * sizeof(double) +
@@ -161,18 +108,13 @@ class Ilu0Factors {
   }
 
  private:
-  template <typename Index>
-  void start(CsrPatternView<Index> pattern);
-  // Eliminates row i: records its updates (kFactor false) or applies
-  // them to lu_ (kFactor true), and finds its diagonal.  Returns false
-  // and records row i as the first unfactorable one when it has no
-  // entries or no diagonal.
-  template <bool kFactor, typename Index>
-  bool eliminate_row(CsrPatternView<Index> pattern, std::size_t i,
+  // Eliminates row i symbolically: records its updates and finds its
+  // diagonal.  Returns false and records row i as the first
+  // unfactorable one when it has no entries or no diagonal.
+  bool eliminate_row(CsrPatternView pattern, std::size_t i,
                      std::vector<std::uint32_t>& iw);
   // Throws row i's PrecondError, if it has one, once it is eliminated.
-  template <typename Index>
-  void check_row(CsrPatternView<Index> pattern, std::size_t i) const;
+  void check_row(CsrPatternView pattern, std::size_t i) const;
 
   std::vector<std::uint32_t> diag_;  // position of each row's diagonal
   // For each strictly-lower entry in elimination order: the number of
@@ -181,27 +123,5 @@ class Ilu0Factors {
   std::size_t bad_row_ = 0;  // first unfactorable row; rows() when none
   std::vector<double> lu_;   // L (unit lower) and U factors in-pattern
 };
-
-/// ILU(0) of A as a preconditioner.  Holds a pointer to A for the
-/// pattern — A must outlive the preconditioner (both live inside a
-/// single solve in practice).
-class Ilu0Preconditioner final : public Preconditioner {
- public:
-  /// Throws PrecondError [P001]/[P003]/[P004] (see above).
-  explicit Ilu0Preconditioner(const CsrMatrix& a);
-
-  void apply(const Vector& r, Vector& z) const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return factors_.memory_bytes();
-  }
-
- private:
-  const CsrMatrix* pattern_;
-  Ilu0Factors factors_;
-};
-
-/// Factory used by the solvers; construction may throw PrecondError.
-[[nodiscard]] std::unique_ptr<Preconditioner> make_preconditioner(
-    PrecondKind kind, const CsrMatrix& a);
 
 }  // namespace rascal::linalg

@@ -17,14 +17,13 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// A view of a square CSR sparsity pattern: row r occupies
+/// A view of a square CSR sparsity pattern with 32-bit indices, as
+/// the Krylov plan (krylov_plan.h) keeps its system's: row r occupies
 /// [row_ptr[r], row_ptr[r+1]) of col_idx, column-sorted with unique
-/// columns.  CsrMatrix indexes its pattern with std::size_t; the
-/// Krylov plan (krylov_plan.h) keeps its own with 32-bit indices.
-template <typename Index>
+/// columns.
 struct CsrPatternView {
-  std::span<const Index> row_ptr;
-  std::span<const Index> col_idx;
+  std::span<const std::uint32_t> row_ptr;
+  std::span<const std::uint32_t> col_idx;
 
   [[nodiscard]] std::size_t rows() const noexcept {
     return row_ptr.empty() ? 0 : row_ptr.size() - 1;
@@ -91,9 +90,6 @@ class CsrMatrix {
   }
   [[nodiscard]] const std::vector<double>& values() const noexcept {
     return values_;
-  }
-  [[nodiscard]] CsrPatternView<std::size_t> pattern() const noexcept {
-    return {row_ptr_, col_idx_};
   }
 
  private:

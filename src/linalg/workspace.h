@@ -8,8 +8,8 @@
 // O(samples) matrix churn.  Reusing a workspace never changes
 // results: the workspace recycles storage and pattern-only work, every
 // solve refills the values and runs the identical operation sequence
-// (gated by the src/check/ oracle's workspace-vs-fresh and plan-vs-
-// fresh bit-identity checks).
+// (gated by the src/check/ oracle's workspace-vs-fresh and reused-
+// plan-vs-fresh-plan bit-identity checks).
 //
 // A workspace is NOT thread-safe; give each worker its own.
 #pragma once
@@ -47,7 +47,8 @@ class SolveWorkspace {
   [[nodiscard]] std::vector<Vector>& krylov_basis(std::size_t count);
 
   /// The Krylov plan of the last sparse stationary solve through this
-  /// workspace (krylov_plan.h): reused while the patterns match.
+  /// workspace (krylov_plan.h), the system that solve ran on: reused
+  /// while the patterns match, laid out again otherwise.
   [[nodiscard]] KrylovPlan& krylov_plan() noexcept { return plan_; }
 
  private:

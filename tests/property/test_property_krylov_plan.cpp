@@ -1,7 +1,8 @@
 // Tolerance-zero property tests for the Krylov plan: every solve
 // through a reused plan (ctmc::krylov_stationary, and SolveCache ->
-// solve_steady_state) must reproduce a fresh gmres_stationary /
-// bicgstab_stationary(chain.sparse_generator(), ...) bit for bit, on
+// solve_steady_state) must reproduce gmres_stationary /
+// bicgstab_stationary on a fresh plan laid out from
+// chain.sparse_generator() bit for bit, on
 // draws of one compiled model, on models alternating in one
 // workspace, on a copy of a model, on public-constructor chains, on
 // patterns ILU(0) and Jacobi reject, and on the generated 3^5 and 3^7

@@ -1,18 +1,22 @@
-// Unit tests for the sparse Krylov engine (linalg/krylov.h): exact
-// small solves, restart-boundary GMRES(m), BiCGStab breakdown
-// detection, singular-system refusal, cancellation poll cadence,
-// stationary wrappers against dense GTH, workspace bit-identity, and
-// the large-state-space memory-footprint acceptance on the k-of-n
-// replicated-AS model.
+// Unit tests for the sparse Krylov engine (linalg/krylov.h) on its
+// one system, the Krylov plan (linalg/krylov_plan.h): the augmented
+// system a layout builds, restart-boundary GMRES(m) against a closed
+// form, BiCGStab breakdown detection, singular-system refusal,
+// cancellation poll cadence, stationary solves against dense GTH,
+// workspace bit-identity, and the large-state-space memory-footprint
+// acceptance on the k-of-n replicated-AS model.
 #include "linalg/krylov.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/gth.h"
+#include "linalg/krylov_plan.h"
 #include "linalg/sparse.h"
 #include "linalg/workspace.h"
 #include "models/kofn_as.h"
@@ -30,137 +34,37 @@ double max_abs_diff(const Vector& a, const Vector& b) {
   return worst;
 }
 
-// A small nonsymmetric, diagonally dominant system with a known
-// solution x, as b = A x.
-CsrMatrix small_system(Vector& b, Vector& x) {
-  const CsrMatrix a(4, 4,
-                    {{0, 0, 5.0}, {0, 1, 1.0}, {1, 0, -2.0}, {1, 1, 6.0},
-                     {1, 3, 1.0}, {2, 2, 4.0}, {2, 0, 0.5}, {3, 3, 7.0},
-                     {3, 2, -1.0}});
-  x = {1.0, -2.0, 0.5, 3.0};
-  b = a.multiply(x);
+// A plan laid out for q, holding q's values.
+KrylovPlan plan_for(const CsrMatrix& q) {
+  KrylovPlan plan;
+  plan.layout(0, q);
+  return plan;
+}
+
+// The plan's A, column by column: A e_j through multiply_into.
+Matrix system_of(const KrylovPlan& plan) {
+  const std::size_t n = plan.rows();
+  Matrix a(n, n);
+  Vector unit(n, 0.0);
+  Vector column;
+  for (std::size_t j = 0; j < n; ++j) {
+    unit[j] = 1.0;
+    plan.multiply_into(unit, column);
+    unit[j] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) a(i, j) = column[i];
+  }
   return a;
 }
 
-TEST(Gmres, SolvesSmallSystemExactlyUnderEveryPrecond) {
-  Vector b;
-  Vector x;
-  const CsrMatrix a = small_system(b, x);
-  for (const PrecondKind kind :
-       {PrecondKind::kNone, PrecondKind::kJacobi, PrecondKind::kIlu0}) {
-    KrylovOptions options;
-    options.precond = kind;
-    const KrylovResult result = gmres(a, b, options);
-    EXPECT_TRUE(result.converged) << precond_name(kind);
-    EXPECT_FALSE(result.breakdown);
-    EXPECT_LE(result.iterations, 8u) << precond_name(kind);
-    EXPECT_LT(max_abs_diff(result.x, x), 1e-10) << precond_name(kind);
+void expect_same_matrix(const Matrix& got, const Matrix& want,
+                        const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      EXPECT_EQ(got(i, j), want(i, j)) << what << " (" << i << "," << j << ")";
+    }
   }
-}
-
-TEST(BiCgStab, SolvesSmallSystemExactlyUnderEveryPrecond) {
-  Vector b;
-  Vector x;
-  const CsrMatrix a = small_system(b, x);
-  for (const PrecondKind kind :
-       {PrecondKind::kNone, PrecondKind::kJacobi, PrecondKind::kIlu0}) {
-    KrylovOptions options;
-    options.precond = kind;
-    const KrylovResult result = bicgstab(a, b, options);
-    EXPECT_TRUE(result.converged) << precond_name(kind);
-    EXPECT_LT(max_abs_diff(result.x, x), 1e-9) << precond_name(kind);
-  }
-}
-
-TEST(Gmres, ZeroRhsReturnsZeroImmediately) {
-  Vector b;
-  Vector x;
-  const CsrMatrix a = small_system(b, x);
-  const KrylovResult result = gmres(a, Vector(4, 0.0), {});
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.iterations, 0u);
-  EXPECT_EQ(result.x, Vector(4, 0.0));
-}
-
-TEST(Gmres, ShapeMismatchThrows) {
-  const CsrMatrix a(2, 3, {{0, 0, 1.0}});
-  EXPECT_THROW((void)gmres(a, Vector{1.0, 2.0}, {}), std::invalid_argument);
-  const CsrMatrix sq(2, 2, {{0, 0, 1.0}, {1, 1, 1.0}});
-  EXPECT_THROW((void)gmres(sq, Vector{1.0, 2.0, 3.0}, {}),
-               std::invalid_argument);
-}
-
-TEST(Gmres, ConvergesAcrossRestartBoundaries) {
-  // restart = 2 on a 30-state chain system: the subspace is rebuilt
-  // many times and the true-residual restart bookkeeping has to carry
-  // the iterate across each boundary.
-  constexpr std::size_t n = 30;
-  std::vector<Triplet> triplets;
-  for (std::size_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, 4.0});
-    if (i + 1 < n) triplets.push_back({i, i + 1, -1.0});
-    if (i > 0) triplets.push_back({i, i - 1, -1.5});
-  }
-  const CsrMatrix a(n, n, triplets);
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = std::cos(static_cast<double>(i));
-  }
-  const Vector b = a.multiply(x);
-  KrylovOptions options;
-  options.restart = 2;
-  options.precond = PrecondKind::kNone;
-  const KrylovResult result = gmres(a, b, options);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.iterations, 2u);  // must actually have restarted
-  EXPECT_LT(max_abs_diff(result.x, x), 1e-8);
-}
-
-TEST(BiCgStab, DetectsBreakdownInsteadOfProducingNaN) {
-  // The classic rotation matrix: rhat = r = b makes the very first
-  // dot(rhat, A p) vanish, so the rho/den recurrence has no valid
-  // continuation.  The solver must report breakdown, not NaN.
-  const CsrMatrix a(2, 2, {{0, 1, 1.0}, {1, 0, -1.0}});
-  KrylovOptions options;
-  options.precond = PrecondKind::kNone;  // the diagonal is empty
-  const KrylovResult result = bicgstab(a, Vector{1.0, 0.0}, options);
-  EXPECT_TRUE(result.breakdown);
-  EXPECT_FALSE(result.converged);
-  for (const double v : result.x) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(Gmres, SingularSystemDoesNotConverge) {
-  // Rank-1 matrix with an inconsistent right-hand side: no x exists,
-  // and the solver has to say so rather than loop forever.
-  const CsrMatrix a(2, 2,
-                    {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
-  KrylovOptions options;
-  options.precond = PrecondKind::kNone;
-  options.max_iterations = 64;
-  const KrylovResult result = gmres(a, Vector{1.0, 0.0}, options);
-  EXPECT_FALSE(result.converged);
-  EXPECT_GT(result.residual, 1e-3);
-  for (const double v : result.x) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(Krylov, PreArmedCancelStopsBeforeTheFirstMatvec) {
-  // The poll cadence is once per iteration, checked at the top: a
-  // token cancelled before the solve starts must yield zero matvecs.
-  Vector b;
-  Vector x;
-  const CsrMatrix a = small_system(b, x);
-  resil::CancellationToken cancel;
-  cancel.request_cancel();
-  KrylovOptions options;
-  options.cancel = &cancel;
-  const KrylovResult g = gmres(a, b, options);
-  EXPECT_TRUE(g.cancelled);
-  EXPECT_FALSE(g.converged);
-  EXPECT_EQ(g.iterations, 0u);
-  const KrylovResult bi = bicgstab(a, b, options);
-  EXPECT_TRUE(bi.cancelled);
-  EXPECT_FALSE(bi.converged);
-  EXPECT_EQ(bi.iterations, 0u);
 }
 
 // A small ergodic generator (5-state availability-style chain).
@@ -180,25 +84,143 @@ CsrMatrix small_generator() {
   return CsrMatrix(5, 5, triplets);
 }
 
+// A birth-death chain on 0..n-1: i -> i+1 at `birth`, i -> i-1 at
+// `death`.
+CsrMatrix birth_death_generator(std::size_t n, double birth, double death) {
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < n; ++i) {
+    double exit = 0.0;
+    if (i + 1 < n) {
+      triplets.push_back({i, i + 1, birth});
+      exit += birth;
+    }
+    if (i > 0) {
+      triplets.push_back({i, i - 1, death});
+      exit += death;
+    }
+    triplets.push_back({i, i, -exit});
+  }
+  return CsrMatrix(n, n, triplets);
+}
+
+TEST(KrylovPlan, LayoutRejectsANonSquareOrEmptyGenerator) {
+  KrylovPlan plan;
+  EXPECT_THROW(plan.layout(1, CsrMatrix(2, 3, {{0, 0, 1.0}})),
+               std::invalid_argument);
+  EXPECT_THROW(plan.layout(1, CsrMatrix()), std::invalid_argument);
+  EXPECT_EQ(plan.pattern_id(), 0u);
+  // A plan with no layout has no system to solve.
+  EXPECT_THROW((void)gmres_stationary(plan, {}), std::invalid_argument);
+  EXPECT_THROW((void)bicgstab_stationary(plan, {}), std::invalid_argument);
+}
+
+TEST(Gmres, ConvergesAcrossRestartBoundaries) {
+  // restart = 2 on a 30-state birth-death chain: the subspace is
+  // rebuilt many times and the true-residual restart bookkeeping has
+  // to carry the iterate across each boundary.  The chain's
+  // stationary distribution is geometric: pi_i ~ (birth/death)^i.
+  constexpr std::size_t n = 30;
+  constexpr double kBirth = 4.0;
+  constexpr double kDeath = 1.0;
+  KrylovPlan plan = plan_for(birth_death_generator(n, kBirth, kDeath));
+  KrylovOptions options;
+  options.restart = 2;
+  options.precond = PrecondKind::kJacobi;
+  const KrylovResult result = gmres_stationary(plan, options);
+  ASSERT_TRUE(result.converged);
+  EXPECT_GT(result.iterations, 2u);  // must actually have restarted
+
+  const double ratio = kBirth / kDeath;
+  const double total =
+      (1.0 - std::pow(ratio, static_cast<double>(n))) / (1.0 - ratio);
+  Vector closed_form(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    closed_form[i] = std::pow(ratio, static_cast<double>(i)) / total;
+  }
+  EXPECT_LT(max_abs_diff(result.x, closed_form), 1e-10);
+}
+
+// A 2-state plan whose A the test overwrites: the generator's pattern
+// fills all four entries of A, row-major in values().
+KrylovPlan two_state_plan(double a00, double a01, double a10, double a11) {
+  KrylovPlan plan =
+      plan_for(CsrMatrix(2, 2, {{0, 0, -1.0}, {0, 1, 1.0}, {1, 0, 1.0},
+                                {1, 1, -1.0}}));
+  const std::span<double> values = plan.values();
+  EXPECT_EQ(values.size(), 4u);
+  values[0] = a00;
+  values[1] = a01;
+  values[2] = a10;
+  values[3] = a11;
+  return plan;
+}
+
+TEST(BiCgStab, DetectsBreakdownInsteadOfProducingNaN) {
+  // The rotation A = [[0, 1], [-1, 0]] with b = e_1 and x0 = (1/2,
+  // 1/2): rhat = r0 = (-1/2, 3/2), and dot(rhat, A r0) is exactly 0,
+  // so the rho/den recurrence has no valid continuation.  The solver
+  // must report breakdown, not NaN.
+  KrylovPlan plan = two_state_plan(0.0, 1.0, -1.0, 0.0);
+  KrylovOptions options;
+  options.precond = PrecondKind::kNone;  // the diagonal is empty
+  const KrylovResult result = bicgstab_stationary(plan, options);
+  EXPECT_TRUE(result.breakdown);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.iterations, 1u);
+  for (const double v : result.x) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Gmres, SingularSystemDoesNotConverge) {
+  // Rank-1 A = [[1, 1], [1, 1]] with b = e_1: no x exists, and the
+  // solver has to say so rather than loop forever.
+  KrylovPlan plan = two_state_plan(1.0, 1.0, 1.0, 1.0);
+  KrylovOptions options;
+  options.precond = PrecondKind::kNone;
+  options.max_iterations = 64;
+  const KrylovResult result = gmres_stationary(plan, options);
+  EXPECT_FALSE(result.converged);
+  EXPECT_GT(result.residual, 1e-3);
+  for (const double v : result.x) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Krylov, PreArmedCancelStopsBeforeTheFirstMatvec) {
+  // The poll cadence is once per iteration, checked at the top: a
+  // token cancelled before the solve starts must yield zero matvecs.
+  KrylovPlan plan = plan_for(small_generator());
+  resil::CancellationToken cancel;
+  cancel.request_cancel();
+  KrylovOptions options;
+  options.cancel = &cancel;
+  const KrylovResult g = gmres_stationary(plan, options);
+  EXPECT_TRUE(g.cancelled);
+  EXPECT_FALSE(g.converged);
+  EXPECT_EQ(g.iterations, 0u);
+  const KrylovResult bi = bicgstab_stationary(plan, options);
+  EXPECT_TRUE(bi.cancelled);
+  EXPECT_FALSE(bi.converged);
+  EXPECT_EQ(bi.iterations, 0u);
+}
+
 TEST(Stationary, WrappersMatchDenseGth) {
   const CsrMatrix q = small_generator();
   const Vector reference = gth_stationary(q.to_dense());
+  KrylovPlan plan = plan_for(q);
   for (const PrecondKind kind :
        {PrecondKind::kNone, PrecondKind::kJacobi, PrecondKind::kIlu0}) {
     KrylovOptions options;
     options.precond = kind;
-    const KrylovResult g = gmres_stationary(q, options);
+    const KrylovResult g = gmres_stationary(plan, options);
     EXPECT_TRUE(g.converged) << precond_name(kind);
     EXPECT_LT(max_abs_diff(g.x, reference), 1e-9) << precond_name(kind);
-    const KrylovResult bi = bicgstab_stationary(q, options);
+    const KrylovResult bi = bicgstab_stationary(plan, options);
     EXPECT_TRUE(bi.converged) << precond_name(kind);
     EXPECT_LT(max_abs_diff(bi.x, reference), 1e-9) << precond_name(kind);
   }
 }
 
 TEST(Stationary, SolutionIsAProbabilityVector) {
-  const CsrMatrix q = small_generator();
-  const KrylovResult result = gmres_stationary(q, {});
+  KrylovPlan plan = plan_for(small_generator());
+  const KrylovResult result = gmres_stationary(plan, {});
   ASSERT_TRUE(result.converged);
   double sum = 0.0;
   for (const double p : result.x) {
@@ -210,46 +232,66 @@ TEST(Stationary, SolutionIsAProbabilityVector) {
 
 TEST(Stationary, AugmentedSystemHasTheNormalizationRow) {
   const CsrMatrix q = small_generator();
-  const CsrMatrix a = stationary_system(q);
-  ASSERT_EQ(a.rows(), 5u);
-  ASSERT_EQ(a.cols(), 5u);
-  // The last row is all ones (fully dense).
-  const auto last = a.row(4);
-  ASSERT_EQ(last.size(), 5u);
-  for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(last[j].first, j);
-    EXPECT_DOUBLE_EQ(last[j].second, 1.0);
-  }
-  // The other rows are Q^T with the last balance row dropped:
-  // a(i, j) = q(j, i) for i < n-1.
+  const std::size_t n = q.rows();
+  // A is Q^T with its last row, the balance equation it replaces,
+  // all ones.
   const Matrix dense_q = q.to_dense();
-  const Matrix dense_a = a.to_dense();
-  for (std::size_t i = 0; i + 1 < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      EXPECT_DOUBLE_EQ(dense_a(i, j), dense_q(j, i)) << i << "," << j;
+  Matrix augmented(n, n, 1.0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) augmented(i, j) = dense_q(j, i);
+  }
+  KrylovPlan plan = plan_for(q);
+  ASSERT_EQ(plan.rows(), n);
+  expect_same_matrix(system_of(plan), augmented, "laid out");
+
+  // The slots name every entry of A outside the ones row: clearing
+  // them leaves that row alone, and writing q's entries back through
+  // them, as a solve of a new draw does, gives A again.
+  const std::span<double> values = plan.values();
+  const std::span<const std::uint32_t> off = plan.off_diagonal_slots();
+  const std::span<const std::uint32_t> diag = plan.diagonal_slots();
+  ASSERT_EQ(off.size() + diag.size(), q.non_zeros());
+  for (const std::span<const std::uint32_t> slots : {off, diag}) {
+    for (const std::uint32_t slot : slots) {
+      if (slot != KrylovPlan::kNoSlot) values[slot] = 0.0;
     }
   }
+  Matrix ones_row(n, n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) ones_row(n - 1, j) = 1.0;
+  expect_same_matrix(system_of(plan), ones_row, "slots cleared");
+
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t e = q.row_ptr()[r]; e < q.row_ptr()[r + 1]; ++e) {
+      const std::uint32_t slot = q.col_idx()[e] == r ? diag[r] : off[k++];
+      if (slot != KrylovPlan::kNoSlot) values[slot] = q.values()[e];
+    }
+  }
+  expect_same_matrix(system_of(plan), augmented, "refilled");
 }
 
 TEST(Krylov, DirtyWorkspaceReuseIsBitIdentical) {
   const CsrMatrix q = small_generator();
-  const KrylovResult fresh = gmres_stationary(q, {});
+  KrylovPlan fresh_plan = plan_for(q);
+  const KrylovResult fresh = gmres_stationary(fresh_plan, {});
   ASSERT_TRUE(fresh.converged);
 
+  // Dirty the pools and the workspace's own plan with solves of a
+  // different shape first.
   SolveWorkspace workspace;
-  // Dirty the pools with a solve of a different shape first.
-  Vector b;
-  Vector x;
-  const CsrMatrix other = small_system(b, x);
+  KrylovPlan& plan = workspace.krylov_plan();
+  plan.layout(0, birth_death_generator(30, 1.0, 1.5));
   KrylovOptions dirty;
   dirty.workspace = &workspace;
-  (void)gmres(other, b, dirty);
-  (void)bicgstab(other, b, dirty);
+  dirty.precond = PrecondKind::kIlu0;
+  (void)gmres_stationary(plan, dirty);
+  (void)bicgstab_stationary(plan, dirty);
 
+  plan.layout(0, q);
   for (int rep = 0; rep < 2; ++rep) {
     KrylovOptions options;
     options.workspace = &workspace;
-    const KrylovResult reused = gmres_stationary(q, options);
+    const KrylovResult reused = gmres_stationary(plan, options);
     ASSERT_TRUE(reused.converged);
     ASSERT_EQ(reused.x.size(), fresh.x.size());
     EXPECT_EQ(std::memcmp(reused.x.data(), fresh.x.data(),
@@ -276,7 +318,8 @@ TEST(KofnAs, SparseModelMatchesDenseGthAtSmallN) {
   const Vector reference = gth_stationary(chain.generator());
   KrylovOptions options;
   options.precond = PrecondKind::kIlu0;
-  const KrylovResult result = gmres_stationary(sparse.generator, options);
+  KrylovPlan plan = plan_for(sparse.generator);
+  const KrylovResult result = gmres_stationary(plan, options);
   ASSERT_TRUE(result.converged);
   EXPECT_LT(max_abs_diff(result.x, reference), 1e-9);
   // Rewards agree with the named states' rewards.
@@ -289,9 +332,9 @@ TEST(KofnAs, SparseModelMatchesDenseGthAtSmallN) {
 TEST(KofnAs, HundredThousandStateSolveStaysUnderDenseMemory) {
   // The acceptance gate for the sparse engine: an 11-node k-of-n AS
   // tier (3^11 = 177,147 states) solves via GMRES + ILU(0) while
-  // every byte the solver holds — CSR generator, factorization,
-  // Krylov basis — stays far below the 8 n^2 bytes a dense Matrix
-  // would need (~251 GB here).
+  // every byte the solver holds — CSR generator, the plan's system
+  // and factorization, Krylov basis — stays far below the 8 n^2 bytes
+  // a dense Matrix would need (~251 GB here).
   models::KofnAsConfig config;
   config.nodes = 11;
   config.quorum = 8;
@@ -306,19 +349,19 @@ TEST(KofnAs, HundredThousandStateSolveStaysUnderDenseMemory) {
   KrylovOptions options;
   options.precond = PrecondKind::kIlu0;
   options.restart = 40;
-  const auto precond =
-      make_preconditioner(PrecondKind::kIlu0, model.generator);
+  KrylovPlan plan = plan_for(model.generator);
+  plan.factor(PrecondKind::kIlu0);
   const std::size_t csr_bytes =
       model.generator.non_zeros() * (sizeof(double) + sizeof(std::size_t)) +
       (n + 1) * sizeof(std::size_t);
   const std::size_t basis_bytes = (options.restart + 1) * n * sizeof(double);
   const std::size_t sparse_bytes =
-      csr_bytes + precond->memory_bytes() + basis_bytes;
+      csr_bytes + plan.memory_bytes() + basis_bytes;
   // 8 n^2 would overflow nothing here (n^2 ~ 3.1e10) but dwarfs the
   // sparse footprint by more than three orders of magnitude.
   EXPECT_LT(sparse_bytes, n * n * sizeof(double) / 1000);
 
-  const KrylovResult result = gmres_stationary(model.generator, options);
+  const KrylovResult result = gmres_stationary(plan, options);
   ASSERT_TRUE(result.converged);
   EXPECT_LT(result.residual, 1e-10);
 
@@ -334,7 +377,7 @@ TEST(KofnAs, HundredThousandStateSolveStaysUnderDenseMemory) {
 
   // Differential check at scale: BiCGStab must land on the same
   // stationary vector without ever seeing GMRES's iterates.
-  const KrylovResult cross = bicgstab_stationary(model.generator, options);
+  const KrylovResult cross = bicgstab_stationary(plan, options);
   ASSERT_TRUE(cross.converged);
   EXPECT_LT(max_abs_diff(cross.x, result.x), 1e-8);
 }

@@ -1,16 +1,19 @@
-// Unit tests for the Krylov preconditioners: Jacobi and ILU(0)
-// apply() correctness against hand-computable factorizations, and the
-// lint-style [Pnnn] structural rejections promised in precond.h.
+// Unit tests for the Krylov preconditioners: identity and Jacobi
+// through the Krylov plan (factor, apply), ILU(0) on Ilu0Factors
+// directly (analyze, factor, solve on a 32-bit pattern), each against
+// hand-computable results, and the lint-style [Pnnn] structural
+// rejections promised in precond.h.
 #include "linalg/precond.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "linalg/krylov_plan.h"
 #include "linalg/sparse.h"
 
 namespace rascal::linalg {
@@ -50,80 +53,110 @@ TEST(PrecondName, CoversEveryKind) {
   EXPECT_FALSE(parse_precond("ILU0", parsed));
 }
 
+// The 3-state generator [[-2, 1, 1], [2, -4, 2], [0.5, 0, -0.5]]: its
+// plan's A has the diagonal (-2, -4, 1), the 1 from the ones row.
+KrylovPlan three_state_plan() {
+  KrylovPlan plan;
+  plan.layout(0, CsrMatrix(3, 3,
+                           {{0, 0, -2.0}, {0, 1, 1.0}, {0, 2, 1.0},
+                            {1, 0, 2.0}, {1, 1, -4.0}, {1, 2, 2.0},
+                            {2, 0, 0.5}, {2, 2, -0.5}}));
+  return plan;
+}
+
 TEST(IdentityPrecond, ApplyCopies) {
-  const IdentityPreconditioner m;
+  KrylovPlan plan = three_state_plan();
+  plan.factor(PrecondKind::kNone);
   const Vector r{3.0, -1.5, 0.0};
   Vector z;
-  m.apply(r, z);
+  plan.apply(r, z);
   EXPECT_EQ(z, r);
-  EXPECT_EQ(m.memory_bytes(), 0u);
 }
 
 TEST(JacobiPrecond, ApplyDividesByTheDiagonal) {
-  const CsrMatrix a(3, 3,
-                    {{0, 0, 2.0}, {0, 1, 1.0}, {1, 1, 4.0}, {2, 0, 1.0},
-                     {2, 2, -0.5}});
-  const JacobiPreconditioner m(a);
+  KrylovPlan plan = three_state_plan();
+  plan.factor(PrecondKind::kJacobi);
   Vector z;
-  m.apply({2.0, 2.0, 2.0}, z);
+  plan.apply({2.0, 2.0, 2.0}, z);
   ASSERT_EQ(z.size(), 3u);
-  EXPECT_DOUBLE_EQ(z[0], 1.0);
-  EXPECT_DOUBLE_EQ(z[1], 0.5);
-  EXPECT_DOUBLE_EQ(z[2], -4.0);
-  EXPECT_GE(m.memory_bytes(), 3u * sizeof(double));
-}
-
-TEST(JacobiPrecond, RejectsNonSquare) {
-  const CsrMatrix a(2, 3, {{0, 0, 1.0}, {1, 1, 1.0}});
-  EXPECT_EQ(precond_code([&] { JacobiPreconditioner m(a); (void)m; }),
-            "P001");
+  EXPECT_DOUBLE_EQ(z[0], -1.0);
+  EXPECT_DOUBLE_EQ(z[1], -0.5);
+  EXPECT_DOUBLE_EQ(z[2], 2.0);
 }
 
 TEST(JacobiPrecond, RejectsMissingDiagonal) {
-  // Row 1 has entries but no (1,1).
-  const CsrMatrix a(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}});
-  EXPECT_EQ(precond_code([&] { JacobiPreconditioner m(a); (void)m; }),
+  // State 1 is absorbing, so Q stores no (1,1): row 1 of A, column 1
+  // of Q, has the entry from state 0 but no diagonal.
+  KrylovPlan plan;
+  plan.layout(0, CsrMatrix(3, 3,
+                           {{0, 0, -1.0}, {0, 1, 1.0}, {2, 0, 1.0},
+                            {2, 2, -1.0}}));
+  EXPECT_EQ(precond_code([&] { plan.factor(PrecondKind::kJacobi); }),
             "P002");
 }
 
 TEST(JacobiPrecond, RejectsZeroDiagonal) {
-  const CsrMatrix a(2, 2, {{0, 0, 1.0}, {1, 1, 0.0}, {1, 0, 2.0}});
-  EXPECT_EQ(precond_code([&] { JacobiPreconditioner m(a); (void)m; }),
+  KrylovPlan plan = three_state_plan();
+  plan.values()[plan.diagonal_slots()[1]] = 0.0;
+  EXPECT_EQ(precond_code([&] { plan.factor(PrecondKind::kJacobi); }),
             "P002");
 }
 
-TEST(Ilu0Precond, RejectsNonSquare) {
-  const CsrMatrix a(3, 2, {{0, 0, 1.0}});
-  EXPECT_EQ(precond_code([&] { Ilu0Preconditioner m(a); (void)m; }),
-            "P001");
+// A CSR matrix's pattern and values with 32-bit indices, the form
+// Ilu0Factors takes.
+struct Pattern32 {
+  std::vector<std::uint32_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+
+  explicit Pattern32(const CsrMatrix& a) : values(a.values()) {
+    for (const std::size_t p : a.row_ptr()) {
+      row_ptr.push_back(static_cast<std::uint32_t>(p));
+    }
+    for (const std::size_t c : a.col_idx()) {
+      col_idx.push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+
+  [[nodiscard]] CsrPatternView view() const { return {row_ptr, col_idx}; }
+};
+
+// The symbolic and the numeric pass on a's pattern and values.
+void factor_ilu0(Ilu0Factors& ilu, const Pattern32& a) {
+  ilu.analyze(a.view());
+  ilu.factor(a.view(), a.values);
+}
+
+std::string ilu0_code(const CsrMatrix& a) {
+  const Pattern32 pattern(a);
+  Ilu0Factors ilu;
+  return precond_code([&] { factor_ilu0(ilu, pattern); });
 }
 
 TEST(Ilu0Precond, RejectsEmptyRow) {
   // Row 1 has no entries at all — not even a diagonal.
-  const CsrMatrix a(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}});
-  EXPECT_EQ(precond_code([&] { Ilu0Preconditioner m(a); (void)m; }),
-            "P003");
+  EXPECT_EQ(ilu0_code(CsrMatrix(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}})), "P003");
 }
 
 TEST(Ilu0Precond, RejectsZeroPivot) {
   // (1,1) present but exactly zero.
-  const CsrMatrix a(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 0.0}});
-  EXPECT_EQ(precond_code([&] { Ilu0Preconditioner m(a); (void)m; }),
-            "P004");
+  EXPECT_EQ(
+      ilu0_code(CsrMatrix(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 0.0}})),
+      "P004");
 }
 
 TEST(Ilu0Precond, RejectsPivotEliminatedToZero) {
   // Elimination makes the (1,1) pivot 2 - (2/1)*1 = 0 even though the
   // stored entry is nonzero.
-  const CsrMatrix a(2, 2,
-                    {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 2.0}, {1, 1, 2.0}});
-  EXPECT_EQ(precond_code([&] { Ilu0Preconditioner m(a); (void)m; }),
+  EXPECT_EQ(ilu0_code(CsrMatrix(2, 2,
+                                {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 2.0},
+                                 {1, 1, 2.0}})),
             "P004");
 }
 
 TEST(Ilu0Precond, IsExactOnTridiagonal) {
   // A tridiagonal matrix has no fill-in, so ILU(0) is a *complete* LU
-  // factorization: apply(A x) must reproduce x to rounding error.
+  // factorization: solving with A x must reproduce x to rounding error.
   constexpr std::size_t n = 9;
   std::vector<Triplet> triplets;
   for (std::size_t i = 0; i < n; ++i) {
@@ -132,48 +165,38 @@ TEST(Ilu0Precond, IsExactOnTridiagonal) {
     if (i + 1 < n) triplets.push_back({i, i + 1, -2.0});
   }
   const CsrMatrix a(n, n, triplets);
-  const Ilu0Preconditioner m(a);
+  const Pattern32 pattern(a);
+  Ilu0Factors ilu;
+  factor_ilu0(ilu, pattern);
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = std::sin(static_cast<double>(i) + 1.0);
   }
   const Vector r = a.multiply(x);
   Vector z;
-  m.apply(r, z);
+  ilu.solve(pattern.view(), r, z);
   ASSERT_EQ(z.size(), n);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(z[i], x[i], 1e-12);
   // The factorization stores one value per nonzero plus one diagonal
   // index per row — and nothing dense.
-  EXPECT_GE(m.memory_bytes(), a.non_zeros() * sizeof(double));
-  EXPECT_LT(m.memory_bytes(), n * n * sizeof(double));
+  EXPECT_GE(ilu.memory_bytes(), a.non_zeros() * sizeof(double));
+  EXPECT_LT(ilu.memory_bytes(), n * n * sizeof(double));
 }
 
 TEST(Ilu0Precond, ApplyIsDeterministic) {
-  const CsrMatrix a(3, 3,
-                    {{0, 0, 3.0}, {0, 2, 1.0}, {1, 0, -1.0}, {1, 1, 2.5},
-                     {2, 1, 0.5}, {2, 2, 4.0}});
-  const Ilu0Preconditioner m(a);
+  const Pattern32 pattern(CsrMatrix(3, 3,
+                                    {{0, 0, 3.0}, {0, 2, 1.0}, {1, 0, -1.0},
+                                     {1, 1, 2.5}, {2, 1, 0.5}, {2, 2, 4.0}}));
+  Ilu0Factors ilu;
+  factor_ilu0(ilu, pattern);
   const Vector r{1.0, -2.0, 0.25};
   Vector z1;
   Vector z2;
-  m.apply(r, z1);
-  m.apply(r, z2);
+  ilu.solve(pattern.view(), r, z1);
+  ilu.solve(pattern.view(), r, z2);
   ASSERT_EQ(z1.size(), z2.size());
   EXPECT_EQ(std::memcmp(z1.data(), z2.data(), z1.size() * sizeof(double)),
             0);
-}
-
-TEST(MakePreconditioner, DispatchesEveryKind) {
-  const CsrMatrix a(2, 2, {{0, 0, 1.0}, {1, 1, 2.0}});
-  EXPECT_NE(dynamic_cast<IdentityPreconditioner*>(
-                make_preconditioner(PrecondKind::kNone, a).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<JacobiPreconditioner*>(
-                make_preconditioner(PrecondKind::kJacobi, a).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<Ilu0Preconditioner*>(
-                make_preconditioner(PrecondKind::kIlu0, a).get()),
-            nullptr);
 }
 
 }  // namespace

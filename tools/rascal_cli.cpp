@@ -454,9 +454,21 @@ ctmc::SolveControl batch_solve_control(const Arguments& args) {
   return control;
 }
 
-// A degraded answer must reach the user, not just an obs counter: warn
-// when a lower rung of the fallback ladder answered, and return
-// kExitNonConvergence when the printed pi failed its residual check.
+// The dense/sparse boundary a solve ran under.
+std::size_t sparse_threshold(const serve::SolveSpec& spec) {
+  return spec.sparse_threshold > 0 ? spec.sparse_threshold
+                                   : ctmc::kDefaultSparseThreshold;
+}
+
+bool rerouted(const ctmc::SteadyState& steady) {
+  return steady.effective_method != steady.method;
+}
+
+// A degraded or rerouted answer must reach the user, not just an obs
+// counter: warn when a lower rung of the fallback ladder answered,
+// note when the method that answered is not the one asked for, and
+// return kExitNonConvergence when the printed pi failed its residual
+// check.
 int report_solve_quality(const serve::Evaluation& evaluation,
                          const Arguments& args) {
   if (!evaluation.solved.fallback.empty()) {
@@ -465,6 +477,14 @@ int report_solve_quality(const serve::Evaluation& evaluation,
               << evaluation.solved.fallback << "'\n";
   }
   const ctmc::SteadyState& steady = evaluation.solved.steady;
+  if (rerouted(steady)) {
+    std::cerr << "note: method '" << ctmc::to_string(steady.method)
+              << "' was answered by '"
+              << ctmc::to_string(steady.effective_method) << "': "
+              << evaluation.chain.num_states()
+              << " states exceed the sparse threshold "
+              << sparse_threshold(args.spec) << "\n";
+  }
   if (steady.residual > kResidualWarnLimit) {
     std::cerr << "warning: steady-state residual " << steady.residual
               << " exceeds " << kResidualWarnLimit
@@ -542,12 +562,16 @@ int run_sweep(const Arguments& args) {
   overrides.set(args.sweep_param, args.from);
   const expr::ParameterSet base = file.parameters_with(overrides);
   std::atomic<std::size_t> fallbacks{0};
+  std::atomic<std::size_t> reroutes{0};
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
         const serve::Evaluation evaluation = serve::evaluate(
             file, params, args.spec, cache, args.supervision, &g_cancel);
         if (!evaluation.solved.fallback.empty()) {
           fallbacks.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (rerouted(evaluation.solved.steady)) {
+          reroutes.fetch_add(1, std::memory_order_relaxed);
         }
         return serve::metric_value(args.metric, evaluation.metrics);
       };
@@ -559,6 +583,14 @@ int run_sweep(const Arguments& args) {
     std::cerr << "warning: " << fallbacks.load() << " of " << args.points
               << " points answered on a fallback rung (method '"
               << ctmc::to_string(args.spec.method) << "' failed there)\n";
+  }
+  if (reroutes.load() > 0) {
+    std::cerr << "note: method '" << ctmc::to_string(args.spec.method)
+              << "' was answered by '"
+              << ctmc::to_string(ctmc::SteadyStateMethod::kGmres) << "' at "
+              << reroutes.load() << " of " << args.points
+              << " points: their states exceed the sparse threshold "
+              << sparse_threshold(args.spec) << "\n";
   }
 
   std::vector<double> ys;
