@@ -1,5 +1,7 @@
 #include "analysis/parametric.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "core/parallel.h"
@@ -25,18 +27,26 @@ std::vector<SweepPoint> parametric_sweep(const ContextModelFunction& model,
                                          const std::vector<double>& values,
                                          std::size_t threads) {
   std::vector<SweepPoint> out(values.size());
-  core::parallel_for(values.size(), core::resolve_threads(threads),
-                     [&](std::size_t begin, std::size_t end) {
-                       // Chunk-local = worker-local: the cache and the
-                       // parameter set are copied once per chunk, and
-                       // each point only rebinds the swept parameter.
-                       ctmc::SolveCache cache;
-                       expr::ParameterSet params = base;
-                       for (std::size_t i = begin; i < end; ++i) {
-                         params.set(parameter, values[i]);
-                         out[i] = {values[i], model(params, cache)};
-                       }
-                     });
+  // Worker-local: each worker builds its cache and its copy of `base`
+  // on its first chunk, and each point only rebinds the swept
+  // parameter.
+  struct Worker {
+    ctmc::SolveCache cache;
+    expr::ParameterSet params;
+  };
+  const std::size_t workers = core::resolve_threads(threads);
+  std::vector<std::optional<Worker>> state(
+      std::min(workers, values.size()));
+  core::parallel_for(
+      values.size(), workers,
+      [&](std::size_t worker, std::size_t begin, std::size_t end) {
+        std::optional<Worker>& local = state[worker];
+        if (!local) local.emplace(Worker{.cache = {}, .params = base});
+        for (std::size_t i = begin; i < end; ++i) {
+          local->params.set(parameter, values[i]);
+          out[i] = {values[i], model(local->params, local->cache)};
+        }
+      });
   return out;
 }
 

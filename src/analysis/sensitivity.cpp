@@ -91,14 +91,18 @@ double spearman_rank_correlation(const std::vector<double>& xs,
 std::vector<ParameterImportance> parameter_importance(
     const UncertaintyResult& result,
     const std::vector<stats::ParameterRange>& ranges) {
+  const std::size_t dims = ranges.size();
+  const std::size_t n = result.metrics.size();
+  if (result.draws.size() != n * dims) {
+    throw std::invalid_argument(
+        "parameter_importance: the result's draws do not hold one value "
+        "per range and metric");
+  }
   std::vector<ParameterImportance> out;
-  out.reserve(ranges.size());
-  for (std::size_t d = 0; d < ranges.size(); ++d) {
-    std::vector<double> xs;
-    xs.reserve(result.samples.size());
-    for (const UncertaintySample& s : result.samples) {
-      xs.push_back(s.parameters.at(d));
-    }
+  out.reserve(dims);
+  std::vector<double> xs(n);
+  for (std::size_t d = 0; d < dims; ++d) {
+    for (std::size_t k = 0; k < n; ++k) xs[k] = result.draws[k * dims + d];
     out.push_back(
         {ranges[d].name, spearman_rank_correlation(xs, result.metrics)});
   }

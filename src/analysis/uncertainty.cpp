@@ -1,6 +1,7 @@
 #include "analysis/uncertainty.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/resumable.h"
@@ -54,12 +55,15 @@ UncertaintyResult uncertainty_analysis(
   if (options.samples == 0) {
     throw std::invalid_argument("uncertainty_analysis: zero samples");
   }
+  // Every draw comes from one serial RandomEngine(seed) stream, made
+  // before the parallel region into one row-major array.
   stats::RandomEngine rng(options.seed);
-  const std::vector<stats::Sample> draws =
+  std::vector<double> draws =
       options.latin_hypercube
           ? stats::latin_hypercube_samples(ranges, options.samples, rng)
           : stats::monte_carlo_samples(ranges, options.samples, rng);
-  const std::size_t n = draws.size();
+  const std::size_t n = options.samples;
+  const std::size_t dims = ranges.size();
 
   // The draws are fixed before the parallel region, each model solve
   // depends only on its own draw, and every reduction below runs over
@@ -80,10 +84,17 @@ UncertaintyResult uncertainty_analysis(
              // with this draw applied.
              return [&, cache = ctmc::SolveCache(),
                      params = base](std::size_t i) mutable {
-               for (std::size_t d = 0; d < ranges.size(); ++d) {
-                 params.set(ranges[d].name, draws[i][d]);
+               const double* draw = draws.data() + i * dims;
+               for (std::size_t d = 0; d < dims; ++d) {
+                 params.set(ranges[d].name, draw[d]);
                }
-               metrics[i] = model(params, cache);
+               const double metric = model(params, cache);
+               // NaN has no place in the order the bounds select from.
+               if (std::isnan(metric)) {
+                 throw std::domain_error(
+                     "uncertainty_analysis: the model returned NaN");
+               }
+               metrics[i] = metric;
              };
            },
        .restore =
@@ -93,7 +104,13 @@ UncertaintyResult uncertainty_analysis(
                    "uncertainty_analysis: checkpoint entry has wrong "
                    "payload size");
              }
-             metrics[i] = resil::bits_f64(words[0]);
+             const double metric = resil::bits_f64(words[0]);
+             if (std::isnan(metric)) {
+               throw resil::CheckpointError(
+                   "uncertainty_analysis: checkpoint entry holds a NaN "
+                   "metric");
+             }
+             metrics[i] = metric;
            },
        .encode =
            [&](std::size_t i) {
@@ -103,29 +120,39 @@ UncertaintyResult uncertainty_analysis(
     obs::counter("analysis.uncertainty.samples").add(n);
   }
 
+  // Keep the successful rows in draw order by compacting both arrays
+  // in place.  When every index succeeded no row moves, and both move
+  // into the result without a copy.
   UncertaintyResult result;
   result.requested = n;
-  result.samples.reserve(n);
-  result.metrics.reserve(n);
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const double* row = draws.data() + i * dims;
     if (run.status[i] == core::IndexStatus::kOk) {
-      result.samples.push_back({draws[i], metrics[i]});
-      result.metrics.push_back(metrics[i]);
-      result.summary.add(metrics[i]);
+      if (kept != i) {
+        std::copy_n(row, dims, draws.data() + kept * dims);
+        metrics[kept] = metrics[i];
+      }
+      result.summary.add(metrics[kept]);
+      ++kept;
     } else if (run.status[i] == core::IndexStatus::kFailed) {
-      result.failures.push_back({i, draws[i], run.errors[i]});
+      result.failures.push_back(
+          {i, std::vector<double>(row, row + dims), run.errors[i]});
     }
   }
-  result.completed = result.metrics.size();
+  draws.resize(kept * dims);
+  metrics.resize(kept);
+  result.draws = std::move(draws);
+  result.metrics = std::move(metrics);
+  result.completed = kept;
   result.interrupted = run.interrupted;
   result.interrupt_reason = run.interrupt_reason;
-  if (!result.metrics.empty()) {
+  if (kept != 0) {
     result.mean = result.summary.mean();
-    // One sorted copy answers all four bounds.
-    std::vector<double> sorted = result.metrics;
-    std::sort(sorted.begin(), sorted.end());
-    result.interval80 = stats::sorted_interval(sorted, 0.8);
-    result.interval90 = stats::sorted_interval(sorted, 0.9);
+    // One scratch copy answers all four bounds, by selection.
+    std::vector<double> scratch = result.metrics;
+    result.interval80 = stats::select_interval(scratch, 0.8);
+    result.interval90 = stats::select_interval(scratch, 0.9);
   }
   return result;
 }

@@ -34,22 +34,20 @@ struct UncertaintyOptions {
   resil::ExecutionControl control;
 };
 
-struct UncertaintySample {
-  stats::Sample parameters;  // aligned with the ranges
-  double metric = 0.0;
-};
-
-/// A sample whose model solve threw (recorded under
+/// A sample whose model solve threw or returned NaN (recorded under
 /// ExecutionControl::skip_failures instead of aborting the run).
 struct SampleFailure {
   std::size_t index = 0;
-  stats::Sample parameters;  // the draw that failed, for reproduction
+  std::vector<double> parameters;  // the draw that failed, for reproduction
   std::string error;
 };
 
 struct UncertaintyResult {
-  std::vector<UncertaintySample> samples;  // successful solves only
-  std::vector<double> metrics;  // convenience copy, in draw order
+  // The successful draws, row major: entry k of `metrics` was computed
+  // from the ranges.size() values at [k * ranges.size(),
+  // (k + 1) * ranges.size()), aligned with the ranges.
+  std::vector<double> draws;
+  std::vector<double> metrics;  // successful solves only, in draw order
   double mean = 0.0;
   stats::Interval interval80;
   stats::Interval interval90;
@@ -57,7 +55,7 @@ struct UncertaintyResult {
 
   std::vector<SampleFailure> failures;  // dropped samples, in draw order
   std::size_t requested = 0;            // draws asked for
-  std::size_t completed = 0;            // == samples.size()
+  std::size_t completed = 0;            // == metrics.size()
   bool interrupted = false;             // cancelled with work pending
   std::string interrupt_reason;         // cancel token's describe()
 
@@ -75,16 +73,19 @@ struct UncertaintyResult {
     const std::vector<stats::ParameterRange>& ranges);
 
 /// Runs the analysis: each draw overrides `base` with sampled values
-/// for every range, then evaluates `model`.
+/// for every range, then evaluates `model`.  A NaN metric fails its
+/// sample the way a throw does: listed in `failures` under
+/// skip_failures, rethrown otherwise.  ±inf is a metric like any other
+/// (the MTBF of a chain without failures).
 [[nodiscard]] UncertaintyResult uncertainty_analysis(
     const ModelFunction& model, const expr::ParameterSet& base,
     const std::vector<stats::ParameterRange>& ranges,
     const UncertaintyOptions& options = {});
 
-/// Context-aware overload (the hot path): each worker chunk owns one
-/// SolveCache and one parameter-set copy of `base`, so a thousand
-/// samples perform O(workers) solver allocations instead of
-/// O(samples).  Metrics are bit-identical to the plain overload at any
+/// Context-aware overload (the hot path): each worker owns one
+/// SolveCache and one parameter-set copy of `base` for the whole call,
+/// so a thousand samples perform O(workers) solver allocations instead
+/// of O(samples).  Metrics are bit-identical to the plain overload at any
 /// thread count (oracle-gated).
 [[nodiscard]] UncertaintyResult uncertainty_analysis(
     const ContextModelFunction& model, const expr::ParameterSet& base,

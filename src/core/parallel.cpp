@@ -48,13 +48,14 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-void parallel_for(
-    std::size_t count, std::size_t threads,
-    const std::function<void(std::size_t begin, std::size_t end)>& body) {
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t worker,
+                                           std::size_t begin,
+                                           std::size_t end)>& body) {
   if (count == 0) return;
   const std::size_t workers = std::max<std::size_t>(1, threads);
   if (workers == 1 || count == 1) {
-    body(0, count);
+    body(0, 0, count);
     return;
   }
 
@@ -91,7 +92,7 @@ void parallel_for(
       const bool timed = obs::enabled();
       const std::uint64_t start_ns = timed ? obs::wall_now_ns() : 0;
       try {
-        body(begin, end);
+        body(worker, begin, end);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

@@ -44,13 +44,18 @@ ResumableRun resumable_for(std::size_t count, std::size_t threads,
   // Spans, progress ticks and counters read clocks and atomics only,
   // never an engine's RNG, so instrumented runs compute the same bits.
   obs::Progress progress(task.progress, count);
+  // One body per worker, built on its first pending index and again
+  // after a failed one; it lives for the whole call.
+  const std::size_t workers = resolve_threads(threads);
+  std::vector<IndexBody> bodies(std::min(workers, count));
   parallel_for(
-      count, resolve_threads(threads),
-      [&](std::size_t begin, std::size_t end) {
-        IndexBody body = task.make_worker();
+      count, workers,
+      [&](std::size_t worker, std::size_t begin, std::size_t end) {
+        IndexBody& body = bodies[worker];
         for (std::size_t i = begin; i < end; ++i) {
           if (run.status[i] != IndexStatus::kPending) continue;  // replayed
           if (cancel != nullptr && cancel->cancelled()) return;  // drain
+          if (!body) body = task.make_worker();
           try {
             resil::chaos::worker_hook(i);
             const obs::Span span(task.index_span);
@@ -61,8 +66,13 @@ ResumableRun resumable_for(std::size_t count, std::size_t threads,
                   {i, resil::EntryStatus::kOk, task.encode(i), {}});
             }
           } catch (const resil::CancelledError&) {
-            return;  // interrupted mid-index: leave it pending
+            // Interrupted mid-index: leave it pending, and drop the
+            // state it may have left dirty, as after a failure.
+            body = nullptr;
+            return;
           } catch (const std::exception& failure) {
+            // The failed index may have left the worker's state dirty.
+            body = nullptr;
             if (!control.skip_failures) throw;
             run.status[i] = IndexStatus::kFailed;
             run.errors[i] = failure.what();
@@ -71,8 +81,6 @@ ResumableRun resumable_for(std::size_t count, std::size_t threads,
                   {i, resil::EntryStatus::kFailed, {}, failure.what()});
             }
             if (obs::enabled()) obs::counter(task.failed_counter).add(1);
-            // The failed index may have left the worker's state dirty.
-            body = task.make_worker();
           }
           progress.tick();
         }

@@ -1,11 +1,12 @@
 // One resumable, cancellable index loop for the sampling engines
 // (uncertainty_analysis, run_campaign, simulate_jsas), on parallel_for.
 // It owns checkpoint replay (a recorded result is decoded into its
-// slot, a recorded failure stays a failure), worker state (built per
-// chunk and again after a failed index), the cancel drain, the chaos
-// hook, each index's span, checkpoint record and progress tick,
-// skipping or rethrowing failures, the final flush and the interrupted
-// flag.  Each engine keeps its draws, its per-index body, its payload
+// slot, a recorded failure stays a failure), worker state (built once
+// per worker per call, on the worker's first pending index, and again
+// after a failed index), the cancel drain, the chaos hook, each
+// index's span, checkpoint record and progress tick, skipping or
+// rethrowing failures, the final flush and the interrupted flag.
+// Each engine keeps its draws, its per-index body, its payload
 // encode/decode and its index-ordered reduction, so every thread count
 // and every resumed run returns the same bits.
 #pragma once
@@ -31,7 +32,9 @@ struct ResumableTask {
   const char* progress;        // obs::Progress label
   const char* index_span;      // span around each index
   const char* failed_counter;  // indices skipped as failures
-  /// A fresh worker, owning the state its indices reuse.
+  /// A fresh worker, owning the state its indices reuse.  Called on
+  /// each worker thread's first pending index of the call, and again
+  /// after an index that threw.
   std::function<IndexBody()> make_worker;
   /// Decodes a recorded payload into slot `index`; throws
   /// resil::CheckpointError when the words are not a valid payload.

@@ -1,7 +1,9 @@
 #include "serve/batch.h"
 
+#include <algorithm>
 #include <istream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -81,17 +83,31 @@ BatchResult run_batch(const std::vector<std::string>& lines,
   // region below only ever sees requests that are structurally able
   // and admitted to run, so its behaviour (and the output bytes) are
   // independent of RASCAL_THREADS.
-  std::vector<std::optional<Request>> requests(n);
+  //
+  // Each parsed request is its own allocation, and a record decided
+  // here is rendered at once, so a call keeps no array of requests,
+  // strings or values indexed by request.  Such an array is one block
+  // of megabytes (4.4 MB of requests at 25,000 lines) that needs a
+  // hole that large in a heap the caller shares; where the caller's
+  // allocations have split the free space, the heap grows by the whole
+  // block, and the process's peak memory changes from run to run.
+  std::vector<std::unique_ptr<const Request>> requests(n);
   std::vector<unsigned char> status(n, kPending);
-  std::vector<std::string> errors(n);
-  std::vector<std::string> classes(n);  // taxonomy slug per error
+  // Records of requests resolved before the workers start, in the
+  // order they were decided; the sink puts them in index order.
+  std::vector<std::pair<std::size_t, std::string>> resolved;
+  const auto fail = [&](std::size_t i, const std::string& error,
+                        const std::string& error_class) {
+    status[i] = kFailed;
+    resolved.emplace_back(
+        i, render_error_line(i, requests[i] ? requests[i]->id : "", error,
+                             error_class));
+  };
   for (std::size_t i = 0; i < n; ++i) {
     try {
-      requests[i] = parse_request(lines[i]);
+      requests[i] = std::make_unique<const Request>(parse_request(lines[i]));
     } catch (const RequestError& failure) {
-      status[i] = kFailed;
-      errors[i] = failure.what();
-      classes[i] = resil::to_string(failure.error_class());
+      fail(i, failure.what(), resil::to_string(failure.error_class()));
     }
   }
 
@@ -111,9 +127,8 @@ BatchResult run_batch(const std::vector<std::string>& lines,
     if (!requests[i] || status[i] != kPending) continue;
     const auto bad = model_errors.find(requests[i]->model_path);
     if (bad != model_errors.end()) {
-      status[i] = kFailed;
-      errors[i] = "model '" + requests[i]->model_path + "': " + bad->second;
-      classes[i] = resil::to_string(resil::ErrorClass::kModel);
+      fail(i, "model '" + requests[i]->model_path + "': " + bad->second,
+           resil::to_string(resil::ErrorClass::kModel));
     }
   }
 
@@ -137,7 +152,7 @@ BatchResult run_batch(const std::vector<std::string>& lines,
       continue;
     }
     status[i] = kShed;
-    errors[i] = reason;
+    resolved.emplace_back(i, render_shed_line(i, requests[i]->id, reason));
     if (obs::enabled()) {
       obs::counter(by_size ? "serve.shed.admission" : "serve.shed.queue")
           .add(1);
@@ -152,8 +167,6 @@ BatchResult run_batch(const std::vector<std::string>& lines,
   // their recorded failure (kFailed; words[0] carries the error
   // class), so the re-rendered records are byte-identical to the
   // first run's.
-  std::vector<std::vector<double>> values(n);
-  std::vector<std::string> fallbacks(n);
   if (checkpoint != nullptr) {
     if (checkpoint->total() != n) {
       throw resil::CheckpointError(
@@ -167,19 +180,20 @@ BatchResult run_batch(const std::vector<std::string>& lines,
           throw resil::CheckpointError(
               "run_batch: checkpoint entry has wrong payload size");
         }
-        values[i].reserve(entry.words.size());
+        std::vector<double> values;
+        values.reserve(entry.words.size());
         for (const std::uint64_t word : entry.words) {
-          values[i].push_back(resil::bits_f64(word));
+          values.push_back(resil::bits_f64(word));
         }
-        fallbacks[i] = entry.note;
         status[i] = kOk;
+        resolved.emplace_back(
+            i, render_result_line(i, *requests[i], values, entry.note));
       } else {
-        status[i] = kFailed;
-        errors[i] = entry.note;
-        if (!entry.words.empty()) {
-          classes[i] = resil::to_string(
-              static_cast<resil::ErrorClass>(entry.words.front()));
-        }
+        fail(i, entry.note,
+             entry.words.empty()
+                 ? std::string()
+                 : resil::to_string(
+                       static_cast<resil::ErrorClass>(entry.words.front())));
       }
       ++result.restored;
     }
@@ -202,24 +216,22 @@ BatchResult run_batch(const std::vector<std::string>& lines,
   // Pre-resolved records (parse/model errors, shed requests,
   // checkpoint replays) go to the sink before the workers start:
   // their indices would otherwise gap the contiguous prefix forever.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (status[i] == kOk) {
-      sink.push(i, render_result_line(i, *requests[i], values[i],
-                                      fallbacks[i]));
-    } else if (status[i] == kFailed) {
-      sink.push(i, render_error_line(i, requests[i] ? requests[i]->id : "",
-                                     errors[i], classes[i]));
-    } else if (status[i] == kShed) {
-      sink.push(i, render_shed_line(i, requests[i]->id, errors[i]));
-    }
-  }
+  for (auto& [i, line] : resolved) sink.push(i, std::move(line));
+  resolved = {};
 
   obs::Progress progress("serve.batch", n);
+  // One solve path per worker, built on its first chunk.
+  const std::size_t workers = core::resolve_threads(options.threads);
+  std::vector<std::optional<ctmc::SolveCache>> caches(std::min(workers, n));
   core::parallel_for(
-      n, core::resolve_threads(options.threads),
-      [&](std::size_t begin, std::size_t end) {
-        ctmc::SolveCache local;
-        local.set_shared(shared.enabled() ? &shared : nullptr);
+      n, workers,
+      [&](std::size_t worker, std::size_t begin, std::size_t end) {
+        std::optional<ctmc::SolveCache>& cache = caches[worker];
+        if (!cache) {
+          cache.emplace();
+          cache->set_shared(shared.enabled() ? &shared : nullptr);
+        }
+        ctmc::SolveCache& local = *cache;
         for (std::size_t i = begin; i < end; ++i) {
           if (status[i] != kPending) continue;  // pre-resolved or restored
           if (cancel != nullptr && cancel->cancelled()) break;  // drain
@@ -242,38 +254,36 @@ BatchResult run_batch(const std::vector<std::string>& lines,
                  .max_iterations = request.max_iterations,
                  .gmres_restart = request.gmres_restart},
                 local, supervision, cancel);
-            values[i].reserve(request.outputs.size());
+            std::vector<double> values;
+            values.reserve(request.outputs.size());
             for (const OutputKind kind : request.outputs) {
-              values[i].push_back(metric_value(kind, evaluation.metrics));
+              values.push_back(metric_value(kind, evaluation.metrics));
             }
             const std::string& fallback = evaluation.solved.fallback;
             status[i] = kOk;
             if (checkpoint != nullptr) {
               resil::CheckpointEntry entry{i, resil::EntryStatus::kOk, {},
                                            fallback};
-              entry.words.reserve(values[i].size());
-              for (const double v : values[i]) {
+              entry.words.reserve(values.size());
+              for (const double v : values) {
                 entry.words.push_back(resil::f64_bits(v));
               }
               checkpoint->record(std::move(entry));
             }
-            sink.push(i, render_result_line(i, request, values[i],
-                                            fallback));
+            sink.push(i, render_result_line(i, request, values, fallback));
           } catch (const resil::CancelledError&) {
             break;  // interrupted mid-solve: leave the index pending
           } catch (const std::exception& failure) {
             const resil::ErrorClass cls = resil::classify(failure);
             status[i] = kFailed;
-            errors[i] = failure.what();
-            classes[i] = resil::to_string(cls);
             if (checkpoint != nullptr) {
               checkpoint->record({i,
                                   resil::EntryStatus::kFailed,
                                   {static_cast<std::uint64_t>(cls)},
                                   failure.what()});
             }
-            sink.push(i, render_error_line(i, request.id, errors[i],
-                                           classes[i]));
+            sink.push(i, render_error_line(i, request.id, failure.what(),
+                                           resil::to_string(cls)));
             if (obs::enabled()) {
               obs::counter("serve.batch.requests_failed").add(1);
             }

@@ -25,27 +25,41 @@ void validate(const std::vector<ParameterRange>& ranges) {
   }
 }
 
+// The row-major array of `count` draws: validated ranges, and a size
+// that does not wrap.
+std::vector<double> draw_array(const std::vector<ParameterRange>& ranges,
+                               std::size_t count) {
+  validate(ranges);
+  const std::size_t dims = ranges.size();
+  if (dims != 0 && count > std::vector<double>().max_size() / dims) {
+    throw std::length_error("sampling: " + std::to_string(count) +
+                            " draws of " + std::to_string(dims) +
+                            " parameters do not fit in memory");
+  }
+  return std::vector<double>(count * dims);
+}
+
 }  // namespace
 
-std::vector<Sample> monte_carlo_samples(
+std::vector<double> monte_carlo_samples(
     const std::vector<ParameterRange>& ranges, std::size_t count,
     RandomEngine& rng) {
-  validate(ranges);
-  std::vector<Sample> samples(count, Sample(ranges.size()));
+  std::vector<double> samples = draw_array(ranges, count);
+  std::size_t k = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t d = 0; d < ranges.size(); ++d) {
-      samples[i][d] = rng.uniform(ranges[d].lo, ranges[d].hi);
+    for (const ParameterRange& range : ranges) {
+      samples[k++] = rng.uniform(range.lo, range.hi);
     }
   }
   return samples;
 }
 
-std::vector<Sample> latin_hypercube_samples(
+std::vector<double> latin_hypercube_samples(
     const std::vector<ParameterRange>& ranges, std::size_t count,
     RandomEngine& rng) {
-  validate(ranges);
-  std::vector<Sample> samples(count, Sample(ranges.size()));
+  std::vector<double> samples = draw_array(ranges, count);
   if (count == 0) return samples;
+  const std::size_t dims = ranges.size();
   std::vector<std::size_t> cells(count);
   for (std::size_t d = 0; d < ranges.size(); ++d) {
     std::iota(cells.begin(), cells.end(), std::size_t{0});
@@ -54,8 +68,8 @@ std::vector<Sample> latin_hypercube_samples(
         (ranges[d].hi - ranges[d].lo) / static_cast<double>(count);
     for (std::size_t i = 0; i < count; ++i) {
       const double offset = rng.uniform01();
-      samples[i][d] = ranges[d].lo +
-                      (static_cast<double>(cells[i]) + offset) * width;
+      samples[i * dims + d] =
+          ranges[d].lo + (static_cast<double>(cells[i]) + offset) * width;
     }
   }
   return samples;

@@ -37,41 +37,52 @@ double Summary::standard_error() const noexcept {
 
 namespace {
 
-// Type-7 percentile of an ascending sample.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
+void check_sample(std::span<const double> sample) {
+  if (sample.empty()) {
     throw std::invalid_argument("percentile: empty sample");
   }
+  if (std::ranges::any_of(sample, [](double x) { return std::isnan(x); })) {
+    throw std::invalid_argument("percentile: NaN in the sample");
+  }
+}
+
+// Type-7 percentile of a checked sample, which it reorders.
+double select_percentile(std::span<double> values, double p) {
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("percentile: p outside [0, 1]");
   }
-  const double h = p * static_cast<double>(sorted.size() - 1);
+  const double h = p * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(h));
   const auto hi = static_cast<std::size_t>(std::ceil(h));
   const double frac = h - std::floor(h);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const auto at = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at, values.end());
+  const double below = *at;
+  const double above =
+      hi == lo ? below : *std::min_element(at + 1, values.end());
+  return below + frac * (above - below);
 }
 
 }  // namespace
 
 double percentile(std::vector<double> sample, double p) {
-  std::sort(sample.begin(), sample.end());
-  return sorted_percentile(sample, p);
+  check_sample(sample);
+  return select_percentile(sample, p);
 }
 
-Interval sorted_interval(const std::vector<double>& sorted, double level) {
+Interval select_interval(std::span<double> values, double level) {
   if (!(level > 0.0) || !(level < 1.0)) {
     throw std::invalid_argument("sample_interval: level outside (0, 1)");
   }
+  check_sample(values);
   const double tail = 0.5 * (1.0 - level);
-  return {sorted_percentile(sorted, tail),
-          sorted_percentile(sorted, 1.0 - tail)};
+  return {select_percentile(values, tail),
+          select_percentile(values, 1.0 - tail)};
 }
 
 Interval sample_interval(const std::vector<double>& sample, double level) {
-  std::vector<double> sorted = sample;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted_interval(sorted, level);
+  std::vector<double> scratch = sample;
+  return select_interval(scratch, level);
 }
 
 Interval mean_confidence_interval(const Summary& summary, double level) {

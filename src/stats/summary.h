@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace rascal::stats {
@@ -36,14 +37,16 @@ class Summary {
 
 /// Percentile with linear interpolation between order statistics
 /// (type-7, the numpy/R default).  `p` in [0, 1].  Throws
-/// std::invalid_argument on an empty sample or p outside [0, 1].
-/// The input is copied and sorted.
+/// std::invalid_argument on an empty sample, a NaN in it (NaN has no
+/// place in the order), or p outside [0, 1].  The input is copied and
+/// the two order statistics are found by selection (see
+/// select_interval).
 [[nodiscard]] double percentile(std::vector<double> sample, double p);
 
 /// Symmetric sample interval: returns {percentile((1-level)/2),
 /// percentile(1-(1-level)/2)} — e.g. level = 0.8 gives the (10%, 90%)
-/// interval used for the paper's "80% confidence interval".  Sorts one
-/// copy of the sample for both bounds.
+/// interval used for the paper's "80% confidence interval".  Copies
+/// the sample once for both bounds.
 struct Interval {
   double lower = 0.0;
   double upper = 0.0;
@@ -51,10 +54,14 @@ struct Interval {
 [[nodiscard]] Interval sample_interval(const std::vector<double>& sample,
                                        double level);
 
-/// sample_interval() of a sample already sorted ascending: no copy and
-/// no sort, so one sorted copy can answer several levels with the bits
-/// sample_interval() gives.
-[[nodiscard]] Interval sorted_interval(const std::vector<double>& sorted,
+/// sample_interval() computed in place, by selection instead of a
+/// sort: for each bound, std::nth_element puts the floor(h)-th order
+/// statistic in place and the ceil(h)-th is the least value to its
+/// right.  These are the two values a sort puts there, so the bits are
+/// a sort's, at O(n) instead of O(n log n).  Reorders `values` but
+/// keeps them as a multiset, so one scratch copy answers several
+/// levels.  Throws as sample_interval() does.
+[[nodiscard]] Interval select_interval(std::span<double> values,
                                        double level);
 
 /// Normal-approximation confidence interval for the mean.

@@ -205,13 +205,15 @@ TEST(CompiledBind, ConcurrentBindsShareOneCompiledForm) {
   }
   std::vector<std::uint64_t> digests(draws.size());
   std::vector<char> verdicts(draws.size());
-  core::parallel_for(draws.size(), 0, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t d = begin; d < end; ++d) {
-      const ctmc::Ctmc chain = model.bind(draws[d]);
-      digests[d] = ctmc::SolveCache::generator_digest(chain);
-      verdicts[d] = chain.steady_state_prevalidated() ? 1 : 0;
-    }
-  });
+  core::parallel_for(
+      draws.size(), core::resolve_threads(0),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t d = begin; d < end; ++d) {
+          const ctmc::Ctmc chain = model.bind(draws[d]);
+          digests[d] = ctmc::SolveCache::generator_digest(chain);
+          verdicts[d] = chain.steady_state_prevalidated() ? 1 : 0;
+        }
+      });
   for (std::size_t d = 0; d < draws.size(); ++d) {
     EXPECT_EQ(digests[d], reference[d]) << "draw " << d;
     EXPECT_EQ(verdicts[d], has_zero_rate[d] != 0 ? 0 : 1) << "draw " << d;

@@ -308,7 +308,8 @@ TEST(KrylovPlanConsensus, ParallelWorkersKeepTheirPlansApart) {
   const auto solve_all = [&](std::size_t threads) {
     std::vector<linalg::Vector> out(draws.size());
     core::parallel_for(
-        draws.size(), threads, [&](std::size_t begin, std::size_t end) {
+        draws.size(), threads,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
           const ctmc::SymbolicCtmc model = file.model;
           ctmc::SolveCache cache;
           for (std::size_t d = begin; d < end; ++d) {

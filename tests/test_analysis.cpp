@@ -78,7 +78,8 @@ TEST(Uncertainty, IntervalsNestAndBracketMean) {
   EXPECT_GE(result.interval90.upper, result.interval80.upper);
   EXPECT_GT(result.mean, result.interval80.lower);
   EXPECT_LT(result.mean, result.interval80.upper);
-  EXPECT_EQ(result.samples.size(), 500u);
+  EXPECT_EQ(result.metrics.size(), 500u);
+  EXPECT_EQ(result.draws.size(), 500u * 2);
 }
 
 TEST(Uncertainty, LatinHypercubeOptionRuns) {

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,9 +62,8 @@ void expect_bit_identical(const analysis::UncertaintyResult& actual,
   ASSERT_EQ(actual.metrics.size(), expected.metrics.size());
   for (std::size_t i = 0; i < expected.metrics.size(); ++i) {
     EXPECT_EQ(actual.metrics[i], expected.metrics[i]) << i;
-    EXPECT_EQ(actual.samples[i].parameters, expected.samples[i].parameters)
-        << i;
   }
+  EXPECT_EQ(actual.draws, expected.draws);
   EXPECT_EQ(actual.mean, expected.mean);
   EXPECT_EQ(actual.interval80.lower, expected.interval80.lower);
   EXPECT_EQ(actual.interval80.upper, expected.interval80.upper);
@@ -156,6 +157,68 @@ TEST(ResilientUncertainty, ChaosWorkerFaultIsFatalWithoutSkipFailures) {
   EXPECT_THROW(
       analysis::uncertainty_analysis(kQuadratic, kBase, kRanges, options),
       resil::chaos::ChaosError);
+}
+
+TEST(ResilientUncertainty, NanMetricFailsItsSampleLikeAThrow) {
+  // The same draws fail either way: by a NaN metric or by a throw.
+  const auto failing_at_large_x = [](bool nan) -> analysis::ModelFunction {
+    return [nan](const expr::ParameterSet& p) {
+      if (p.get("x") > 1.7) {
+        if (nan) return std::nan("");
+        throw std::runtime_error("model failed");
+      }
+      return kQuadratic(p);
+    };
+  };
+  const std::string path = temp_path("uncertainty_nan.json");
+  std::remove(path.c_str());
+  analysis::UncertaintyOptions options;
+  options.samples = 64;
+  options.seed = 17;
+  options.control.skip_failures = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    const auto thrown = analysis::uncertainty_analysis(
+        failing_at_large_x(false), kBase, kRanges, options);
+    const auto nan = analysis::uncertainty_analysis(
+        failing_at_large_x(true), kBase, kRanges, options);
+    ASSERT_FALSE(thrown.failures.empty());
+    EXPECT_EQ(nan.completed + nan.failures.size(), options.samples);
+    expect_bit_identical(nan, thrown);
+    ASSERT_EQ(nan.failures.size(), thrown.failures.size());
+    for (std::size_t k = 0; k < nan.failures.size(); ++k) {
+      EXPECT_EQ(nan.failures[k].index, thrown.failures[k].index);
+      EXPECT_EQ(nan.failures[k].parameters, thrown.failures[k].parameters);
+      EXPECT_NE(nan.failures[k].error.find("NaN"), std::string::npos);
+    }
+  }
+
+  // A NaN sample is checkpointed as failed: a resume with a model that
+  // would succeed keeps it failed, with its error.
+  const std::uint64_t digest =
+      analysis::uncertainty_checkpoint_digest(options, kRanges);
+  resil::Checkpointer first(path, "uncertainty", digest, options.samples);
+  options.control.checkpoint = &first;
+  const auto recorded = analysis::uncertainty_analysis(
+      failing_at_large_x(true), kBase, kRanges, options);
+  resil::Checkpointer second(path, "uncertainty", digest, options.samples);
+  EXPECT_EQ(second.resume_from_disk(), options.samples);
+  options.control.checkpoint = &second;
+  const auto resumed =
+      analysis::uncertainty_analysis(kQuadratic, kBase, kRanges, options);
+  expect_bit_identical(resumed, recorded);
+  ASSERT_EQ(resumed.failures.size(), recorded.failures.size());
+  for (std::size_t k = 0; k < resumed.failures.size(); ++k) {
+    EXPECT_EQ(resumed.failures[k].index, recorded.failures[k].index);
+    EXPECT_NE(resumed.failures[k].error.find("NaN"), std::string::npos);
+  }
+  std::remove(path.c_str());
+
+  // Without skip_failures a NaN metric ends the run.
+  options.control = {};
+  EXPECT_THROW((void)analysis::uncertainty_analysis(
+                   failing_at_large_x(true), kBase, kRanges, options),
+               std::domain_error);
 }
 
 TEST(ResilientUncertainty, WrongTotalCheckpointIsRejected) {
