@@ -1,8 +1,8 @@
 // Sparse Krylov engine microbenchmarks: GMRES(m) and BiCGStab
 // stationary solves on the k-of-n replicated-AS family, the ILU(0)
 // factorization, and the dense GTH comparison point at the largest
-// size where a dense Matrix is still reasonable.  Tracked in the
-// BENCH_krylov.json trajectory; google-benchmark binary.
+// size where a dense Matrix is still reasonable.  google-benchmark
+// binary.
 //
 // Each benchmark lays its Krylov plan out once, before the timed loop,
 // as an uncertainty worker does for the draws of one model: an
@@ -114,8 +114,8 @@ BENCHMARK(BM_Ilu0Analyze)->Arg(6)->Arg(8)->Arg(10)
 // The dense comparison point the sparse engine replaces: GTH on the
 // 729-state tier (already ~4.3 MB of Matrix; 3^10 would be 28 GB).
 void BM_DenseGthStationary(benchmark::State& state) {
-  const auto model = model_for(state);
-  const linalg::Matrix q = model.generator.to_dense();
+  const auto config = config_for(static_cast<std::size_t>(state.range(0)));
+  const linalg::Matrix q = models::kofn_as_model(config).generator();
   for (auto _ : state) {
     auto pi = linalg::gth_stationary(q);
     benchmark::DoNotOptimize(pi.data());

@@ -9,9 +9,7 @@
 //
 //   bench_parallel_scaling [--samples N] [--trials N] [--json FILE]
 //
-// --json writes a machine-readable record (committed as
-// BENCH_parallel.json at the repo root) so later PRs can track the
-// perf trajectory.
+// --json writes the timings as a machine-readable record.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -1,11 +1,12 @@
-// CSR sparse matrix-vector microbenchmarks (ISSUE 6): the iterative
-// solvers and uniformization spend their time in left_multiply_into,
-// so its inner loop and the CSR construction paths are tracked in the
-// BENCH_spmv.json trajectory.  google-benchmark binary.
+// CSR sparse matrix-vector microbenchmarks: uniformization and the
+// reference iterative solvers spend their time in left_multiply_into,
+// so its inner loop and the Ctmc's CSR assembly are timed here.
+// google-benchmark binary.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "ctmc/ctmc.h"
@@ -25,19 +26,30 @@ ctmc::Ctmc as_chain(std::size_t n) {
 // Synthetic banded generator-like matrix: n states, bandwidth 5, the
 // sparsity regime of lumped availability chains at fleet scale.
 linalg::CsrMatrix banded(std::size_t n) {
-  std::vector<linalg::Triplet> triplets;
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<std::size_t> col_idx;
+  std::vector<double> values;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t first = col_idx.size();
+    std::size_t diagonal = first;
     double off_sum = 0.0;
     for (std::size_t j = i > 2 ? i - 2 : 0; j < std::min(n, i + 3); ++j) {
-      if (j == i) continue;
+      col_idx.push_back(j);
+      if (j == i) {
+        diagonal = values.size();
+        values.push_back(0.0);
+        continue;
+      }
       const double rate =
           1.0 + static_cast<double>((i * 7 + j * 3) % 5);
-      triplets.push_back({i, j, rate});
+      values.push_back(rate);
       off_sum += rate;
     }
-    triplets.push_back({i, i, -off_sum});
+    values[diagonal] = -off_sum;
+    row_ptr.push_back(col_idx.size());
   }
-  return {n, n, triplets};
+  return linalg::CsrMatrix::from_parts(n, n, std::move(row_ptr),
+                                       std::move(col_idx), std::move(values));
 }
 
 void BM_CsrLeftMultiply(benchmark::State& state) {
@@ -53,20 +65,7 @@ void BM_CsrLeftMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrLeftMultiply)->Arg(64)->Arg(512)->Arg(4096);
 
-void BM_CsrMultiply(benchmark::State& state) {
-  const auto q = banded(static_cast<std::size_t>(state.range(0)));
-  const linalg::Vector x(q.cols(), 1.0);
-  linalg::Vector y;
-  for (auto _ : state) {
-    q.multiply_into(x, y);
-    benchmark::DoNotOptimize(y.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["nnz"] = static_cast<double>(q.non_zeros());
-}
-BENCHMARK(BM_CsrMultiply)->Arg(64)->Arg(512)->Arg(4096);
-
-// The AS chain matvec that power iteration and uniformization run.
+// The AS chain matvec that uniformization runs.
 void BM_CsrLeftMultiplyAsChain(benchmark::State& state) {
   const auto chain = as_chain(static_cast<std::size_t>(state.range(0)));
   const auto q = chain.sparse_generator();
@@ -81,8 +80,7 @@ void BM_CsrLeftMultiplyAsChain(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrLeftMultiplyAsChain)->Arg(4)->Arg(8)->Arg(10);
 
-// CSR-native construction from Ctmc transitions (no triplet
-// materialization) vs the generic counting-sort triplet path.
+// CSR assembly straight from a Ctmc's sorted transitions.
 void BM_SparseGeneratorBuild(benchmark::State& state) {
   const auto chain = as_chain(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -91,22 +89,6 @@ void BM_SparseGeneratorBuild(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(chain.num_states());
 }
 BENCHMARK(BM_SparseGeneratorBuild)->Arg(4)->Arg(8)->Arg(10);
-
-void BM_CsrFromTriplets(benchmark::State& state) {
-  const auto q = banded(static_cast<std::size_t>(state.range(0)));
-  std::vector<linalg::Triplet> triplets;
-  for (std::size_t r = 0; r < q.rows(); ++r) {
-    for (const auto& [col, value] : q.row(r)) {
-      triplets.push_back({r, col, value});
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linalg::CsrMatrix(q.rows(), q.cols(), triplets));
-  }
-  state.counters["nnz"] = static_cast<double>(q.non_zeros());
-}
-BENCHMARK(BM_CsrFromTriplets)->Arg(64)->Arg(512)->Arg(4096);
 
 }  // namespace
 

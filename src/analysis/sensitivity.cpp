@@ -14,7 +14,7 @@ std::vector<TornadoBar> tornado_analysis(
     const std::vector<stats::ParameterRange>& ranges,
     std::size_t threads) {
   std::vector<TornadoBar> bars = core::parallel_map(
-      ranges.size(), core::resolve_threads(threads), [&](std::size_t i) {
+      ranges.size(), threads, [&](std::size_t i) {
         const stats::ParameterRange& range = ranges[i];
         expr::ParameterSet lo = base;
         expr::ParameterSet hi = base;

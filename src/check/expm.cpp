@@ -20,6 +20,26 @@ Matrix add_scaled(const Matrix& a, const Matrix& b, double sb) {
   return out;
 }
 
+Matrix identity(std::size_t n) {
+  Matrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
+  return m;
+}
+
+// a * b for square matrices of one size.
+Matrix multiply(const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.rows();
+  Matrix out(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const double x = a(r, k);
+      if (x == 0.0) continue;
+      for (std::size_t c = 0; c < n; ++c) out(r, c) += x * b(k, c);
+    }
+  }
+  return out;
+}
+
 double one_norm(const Matrix& a) {
   double best = 0.0;
   for (std::size_t c = 0; c < a.cols(); ++c) {
@@ -58,17 +78,17 @@ Matrix matrix_exponential(const Matrix& a) {
                                       1.0 / 792.0,
                                       1.0 / 15840.0,
                                       1.0 / 665280.0};
-  Matrix power = Matrix::identity(n);
-  Matrix numerator = Matrix::identity(n);
-  Matrix denominator = Matrix::identity(n);
+  Matrix power = identity(n);
+  Matrix numerator = identity(n);
+  Matrix denominator = identity(n);
   for (int k = 1; k <= 6; ++k) {
-    power = power.multiply(x);
+    power = multiply(power, x);
     numerator = add_scaled(numerator, power, kCoeff[k]);
     denominator =
         add_scaled(denominator, power, (k % 2 == 0 ? 1.0 : -1.0) * kCoeff[k]);
   }
   Matrix result = LuDecomposition(std::move(denominator)).solve(numerator);
-  for (int i = 0; i < s; ++i) result = result.multiply(result);
+  for (int i = 0; i < s; ++i) result = multiply(result, result);
   return result;
 }
 

@@ -178,7 +178,9 @@ OracleReport check_steady_state_against(const ctmc::Ctmc& chain,
 OracleReport check_transient_consensus(const ctmc::Ctmc& chain, double t,
                                        const OracleOptions& options) {
   OracleReport report;
-  const auto uni = ctmc::transient_distribution(chain, ctmc::StateId{0}, t);
+  linalg::Vector start(chain.num_states(), 0.0);
+  start[0] = 1.0;
+  const auto uni = ctmc::transient_distribution(chain, start, t);
 
   linalg::Matrix qt = chain.generator();
   for (std::size_t r = 0; r < qt.rows(); ++r) {
@@ -247,13 +249,14 @@ OracleReport check_workspace_consensus(const ctmc::Ctmc& chain, double t) {
   }
 
   // Transient distribution through the (still dirty) workspace.
-  const auto fresh_dist =
-      ctmc::transient_distribution(chain, ctmc::StateId{0}, t);
+  linalg::Vector start(chain.num_states(), 0.0);
+  start[0] = 1.0;
+  const auto fresh_dist = ctmc::transient_distribution(chain, start, t);
   ctmc::TransientOptions ws_options;
   ws_options.workspace = &workspace;
   for (int rep = 0; rep < 2; ++rep) {
     const auto reused =
-        ctmc::transient_distribution(chain, ctmc::StateId{0}, t, ws_options);
+        ctmc::transient_distribution(chain, start, t, ws_options);
     const std::string what = "transient workspace rep " + std::to_string(rep);
     for (std::size_t s = 0; s < chain.num_states(); ++s) {
       report.expect_close(what + " pi_t[" + chain.state_name(s) + "]",

@@ -109,10 +109,11 @@ struct GeneratedSymbolicModel {
 // Broken-model mutants for linter property testing.
 //
 // The linter's property contract: every generator above lints clean,
-// and injecting any single fault below never does.  Faults operate on
-// the *raw* state/transition lists because the Ctmc constructor
-// rejects several of them outright — exactly the defects
-// lint::lint_raw_model must report all at once instead.
+// and no single fault below passes unnoticed: either the Ctmc
+// constructor rejects the mutant, or lint::lint_ctmc reports the
+// fault's structural code.  Faults operate on the *raw*
+// state/transition lists because the constructor rejects several of
+// them outright.
 
 /// Raw (pre-construction) model: what the Ctmc constructor consumes.
 struct RawModel {
@@ -123,30 +124,31 @@ struct RawModel {
 /// Snapshot of a constructed chain as a raw model, ready for mutation.
 [[nodiscard]] RawModel raw_model(const ctmc::Ctmc& chain);
 
-/// Single structural faults, each detected by a distinct diagnostic.
+/// Single structural faults.  The first six make the Ctmc constructor
+/// throw std::invalid_argument; the last three construct, and
+/// lint::lint_ctmc reports each under a distinct code.
 enum class ModelFault {
-  kNegativeRate,         // R001: sign-flip one rate
-  kNonFiniteRate,        // R002: NaN rate
-  kSelfLoop,             // R003: bend a transition back onto its source
-  kDuplicateTransition,  // R004: copy-paste a transition
-  kDanglingEndpoint,     // R005: point a transition past the state list
-  kNonFiniteReward,      // R008: infinite reward
-  kBadStateName,         // R009: duplicate state name
-  kUnreachableState,     // R011 (+R010): orphan state, outgoing only
-  kAbsorbingState,       // R012 (+R010): trap state, incoming only
-  kDisconnectedClass,    // R013 (+R010): two-state island
+  kNegativeRate,       // sign-flip one rate
+  kNonFiniteRate,      // NaN rate
+  kSelfLoop,           // bend a transition back onto its source
+  kDanglingEndpoint,   // point a transition past the state list
+  kNonFiniteReward,    // infinite reward
+  kBadStateName,       // duplicate state name
+  kUnreachableState,   // R011 (+R010): orphan state, outgoing only
+  kAbsorbingState,     // R012 (+R010): trap state, incoming only
+  kDisconnectedClass,  // R013 (+R010): two-state island
 };
 
 /// Every fault, for table-driven tests.
 [[nodiscard]] const std::vector<ModelFault>& all_model_faults();
 
-/// The diagnostic code lint_raw_model is guaranteed to emit for the
-/// fault (secondary codes like R010 may accompany it).
+/// The structural code lint::lint_ctmc is guaranteed to emit for a
+/// fault the constructor accepts (secondary codes like R010 may
+/// accompany it); nullptr for a fault the constructor rejects.
 [[nodiscard]] const char* expected_code(ModelFault fault);
 
 /// Returns a copy of `model` with exactly one instance of `fault`
-/// injected at a seeded-random position.  The result never lints
-/// clean; whether it still constructs a Ctmc depends on the fault.
+/// injected at a seeded-random position.
 [[nodiscard]] RawModel inject_fault(const RawModel& model, ModelFault fault,
                                     stats::RandomEngine& rng);
 

@@ -86,8 +86,7 @@ std::vector<Sensitivity> finite_difference_sensitivities(
   }
   const double y0 = model(base);
   return core::parallel_map(
-      parameters.size(), core::resolve_threads(threads),
-      [&](std::size_t i) {
+      parameters.size(), threads, [&](std::size_t i) {
         const std::string& name = parameters[i];
         const double x0 = base.get(name);
         const double h =

@@ -53,7 +53,7 @@ void parallel_for(std::size_t count, std::size_t threads,
                                            std::size_t begin,
                                            std::size_t end)>& body) {
   if (count == 0) return;
-  const std::size_t workers = std::max<std::size_t>(1, threads);
+  const std::size_t workers = resolve_threads(threads);
   if (workers == 1 || count == 1) {
     body(0, 0, count);
     return;

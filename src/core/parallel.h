@@ -33,17 +33,18 @@ namespace rascal::core {
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested);
 
 /// Runs `body(worker, begin, end)` over a chunked partition of
-/// [0, count) using `threads` workers (callers resolve an automatic
-/// count with resolve_threads first).  Chunks are contiguous, cover
-/// each index exactly once, and depend only on `count` and `threads`;
-/// the call starts up to `threads` threads that claim chunks in index
-/// order from one atomic counter, and joins them before it returns.
+/// [0, count) using resolve_threads(threads) workers, so 0 means
+/// automatic here as everywhere else.  Chunks are contiguous, cover
+/// each index exactly once, and depend only on `count` and the worker
+/// count; the call starts up to that many threads that claim chunks in
+/// index order from one atomic counter, and joins them before it
+/// returns.
 /// `worker` names the thread that runs the chunk: it is below both
 /// `threads` and `count`, and one worker runs its chunks one after
 /// another.  So state that a caller keeps per worker index (a solver
 /// cache, a parameter set) is built once per worker per call and is
 /// never used by two chunks at a time; bodies that keep no state ignore
-/// the index.  With threads <= 1 (or count <= 1) the body runs inline
+/// the index.  With one worker (or count <= 1) the body runs inline
 /// on the calling thread as worker 0.  The first exception thrown by
 /// any chunk is rethrown on the caller after all workers finish; the
 /// worker that threw goes on claiming chunks.
@@ -52,9 +53,10 @@ void parallel_for(std::size_t count, std::size_t threads,
                                            std::size_t begin,
                                            std::size_t end)>& body);
 
-/// results[i] = fn(i) for i in [0, count), computed on `threads`
-/// workers.  The result vector is index-ordered and independent of the
-/// thread count.  The element type must be default-constructible.
+/// results[i] = fn(i) for i in [0, count), computed on
+/// resolve_threads(threads) workers.  The result vector is
+/// index-ordered and independent of the thread count.  The element
+/// type must be default-constructible.
 template <typename Fn>
 [[nodiscard]] auto parallel_map(std::size_t count, std::size_t threads,
                                 Fn&& fn)

@@ -11,27 +11,6 @@ RewardCombiner min_reward_combiner() {
   };
 }
 
-RewardCombiner max_reward_combiner() {
-  return [](const std::vector<double>& rewards) {
-    return *std::max_element(rewards.begin(), rewards.end());
-  };
-}
-
-StateId composite_state_id(const std::vector<Ctmc>& parts,
-                           const std::vector<StateId>& coords) {
-  if (coords.size() != parts.size()) {
-    throw std::invalid_argument("composite_state_id: arity mismatch");
-  }
-  StateId index = 0;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    if (coords[k] >= parts[k].num_states()) {
-      throw std::invalid_argument("composite_state_id: coordinate range");
-    }
-    index = index * parts[k].num_states() + coords[k];
-  }
-  return index;
-}
-
 Ctmc compose_independent(const std::vector<Ctmc>& parts,
                          const RewardCombiner& combine,
                          const ComposeOptions& options) {

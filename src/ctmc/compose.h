@@ -25,24 +25,18 @@ using RewardCombiner =
 /// Series-system combiner: min of component rewards.
 [[nodiscard]] RewardCombiner min_reward_combiner();
 
-/// Parallel-system combiner: max of component rewards.
-[[nodiscard]] RewardCombiner max_reward_combiner();
-
 struct ComposeOptions {
   std::size_t max_states = 2000000;  // product-space guard
 };
 
-/// Composes independent chains.  State names join component names
-/// with '|'.  Throws std::invalid_argument when `parts` is empty and
-/// std::runtime_error when the product space exceeds max_states.
+/// Composes independent chains.  Composite state ids are row-major
+/// over `parts` (the last component's state varies fastest), and
+/// state names join component names with '|'.  Throws
+/// std::invalid_argument when `parts` is empty and std::runtime_error
+/// when the product space exceeds max_states.
 [[nodiscard]] Ctmc compose_independent(
     const std::vector<Ctmc>& parts,
     const RewardCombiner& combine = min_reward_combiner(),
     const ComposeOptions& options = {});
-
-/// Maps a vector of component states to the composite state id
-/// (row-major over the component order used at composition).
-[[nodiscard]] StateId composite_state_id(const std::vector<Ctmc>& parts,
-                                         const std::vector<StateId>& coords);
 
 }  // namespace rascal::ctmc

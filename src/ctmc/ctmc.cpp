@@ -5,8 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "lint/scc.h"
-
 namespace rascal::ctmc {
 
 Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
@@ -176,17 +174,6 @@ linalg::CsrMatrix Ctmc::sparse_generator() const {
   return linalg::CsrMatrix::from_parts(n, n, std::move(row_ptr),
                                        std::move(col_idx),
                                        std::move(values));
-}
-
-bool Ctmc::is_irreducible() const {
-  // Tarjan SCC (lint/scc.h): irreducible iff one strongly connected
-  // component.  The same pass powers the structural linter, so the
-  // two can never disagree about reducibility.
-  lint::Adjacency edges(states_.size());
-  for (const Transition& t : transitions_) {
-    edges[t.from].push_back(t.to);
-  }
-  return lint::tarjan_scc(edges).num_components() == 1;
 }
 
 std::vector<StateId> Ctmc::states_with_reward_below(double threshold) const {

@@ -81,9 +81,6 @@ class Ctmc {
   /// arrays from the sorted transition index — no triplet round trip.
   [[nodiscard]] linalg::CsrMatrix sparse_generator() const;
 
-  /// True when every state can reach every other state.
-  [[nodiscard]] bool is_irreducible() const;
-
   /// States with reward below threshold (default: "down" states).
   [[nodiscard]] std::vector<StateId> states_with_reward_below(
       double threshold = 1.0) const;

@@ -123,17 +123,6 @@ TransientResult transient_distribution(const Ctmc& chain,
   return result;
 }
 
-TransientResult transient_distribution(const Ctmc& chain,
-                                       StateId initial_state, double t,
-                                       const TransientOptions& options) {
-  if (initial_state >= chain.num_states()) {
-    throw std::invalid_argument("transient: initial state out of range");
-  }
-  linalg::Vector initial(chain.num_states(), 0.0);
-  initial[initial_state] = 1.0;
-  return transient_distribution(chain, initial, t, options);
-}
-
 IntervalRewardResult expected_interval_reward(
     const Ctmc& chain, const linalg::Vector& initial, double t,
     const TransientOptions& options) {

@@ -43,11 +43,6 @@ struct TransientResult {
     const Ctmc& chain, const linalg::Vector& initial, double t,
     const TransientOptions& options = {});
 
-/// Convenience: start deterministically in `initial_state`.
-[[nodiscard]] TransientResult transient_distribution(
-    const Ctmc& chain, StateId initial_state, double t,
-    const TransientOptions& options = {});
-
 struct IntervalRewardResult {
   double accumulated_reward = 0.0;  // E[ integral_0^t reward(X_u) du ]
   double time_averaged = 0.0;       // accumulated / t (interval availability)

@@ -1,6 +1,5 @@
 #include "expr/expression.h"
 
-#include <sstream>
 
 #include "expr/lexer.h"
 
@@ -148,13 +147,6 @@ class Parser {
 
 }  // namespace
 
-Expression::Expression(double constant)
-    : root_(std::make_shared<NumberNode>(constant)) {
-  std::ostringstream os;
-  os << constant;
-  source_ = os.str();
-}
-
 Expression::Expression(NodePtr root, std::string source)
     : root_(std::move(root)), source_(std::move(source)) {}
 
@@ -178,7 +170,5 @@ Expression Expression::derivative(const std::string& variable) const {
   std::string source = "d(" + source_ + ")/d" + variable;
   return Expression(std::move(d), std::move(source));
 }
-
-std::string Expression::to_string() const { return root_->to_string(); }
 
 }  // namespace rascal::expr

@@ -18,9 +18,6 @@ namespace rascal::expr {
 
 class Expression {
  public:
-  /// Constant expression (value literal).
-  explicit Expression(double constant);
-
   /// Parses `source`; throws ParseError on malformed input and
   /// std::invalid_argument for unknown functions / wrong arity.
   [[nodiscard]] static Expression parse(const std::string& source);
@@ -37,11 +34,7 @@ class Expression {
   /// abs/min/max of the variable (not differentiable).
   [[nodiscard]] Expression derivative(const std::string& variable) const;
 
-  /// Canonical (fully parenthesized) rendering; parse(to_string()) is
-  /// semantically identical to the original.
-  [[nodiscard]] std::string to_string() const;
-
-  /// Original source text ("" for programmatic constants).
+  /// Original source text.
   [[nodiscard]] const std::string& source() const noexcept { return source_; }
 
  private:

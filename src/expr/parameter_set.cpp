@@ -17,13 +17,6 @@ double ParameterSet::get(const std::string& name) const {
   return it->second;
 }
 
-std::vector<std::string> ParameterSet::names() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [name, value] : values_) out.push_back(name);
-  return out;
-}
-
 ParameterSet ParameterSet::with(const ParameterSet& overrides) const {
   ParameterSet merged = *this;
   for (const auto& [name, value] : overrides) merged.set(name, value);

@@ -7,7 +7,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace rascal::expr {
 
@@ -38,9 +37,6 @@ class ParameterSet {
   [[nodiscard]] double get(const std::string& name) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-
-  /// Sorted parameter names.
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// New set with `overrides` applied on top of *this.
   [[nodiscard]] ParameterSet with(const ParameterSet& overrides) const;

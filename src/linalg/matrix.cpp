@@ -9,32 +9,10 @@ namespace rascal::linalg {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
-    : rows_(rows.size()), cols_(rows.size() == 0 ? 0 : rows.begin()->size()) {
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : rows) {
-    if (row.size() != cols_) {
-      throw std::invalid_argument("Matrix: ragged initializer list");
-    }
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
-
 void Matrix::reshape(std::size_t rows, std::size_t cols, double fill) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, fill);
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return data_[r * cols_ + c];
 }
 
 Matrix Matrix::transposed() const {
@@ -43,20 +21,6 @@ Matrix Matrix::transposed() const {
     for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
   }
   return t;
-}
-
-Vector Matrix::multiply(const Vector& x) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  }
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
 }
 
 Vector Matrix::left_multiply(const Vector& x) const {
@@ -71,23 +35,6 @@ Vector Matrix::left_multiply(const Vector& x) const {
     for (std::size_t c = 0; c < cols_; ++c) y[c] += xr * row[c];
   }
   return y;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  if (cols_ != other.rows_) {
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  }
-  Matrix out(rows_, other.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < other.cols_; ++c) {
-        out(r, c) += a * other(k, c);
-      }
-    }
-  }
-  return out;
 }
 
 double norm2(const Vector& v) noexcept {

@@ -8,27 +8,19 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 namespace rascal::linalg {
 
 using Vector = std::vector<double>;
 
-/// Dense row-major matrix.  Indices are checked in at() and unchecked
-/// in operator().
+/// Dense row-major matrix.  operator() does not check indices.
 class Matrix {
  public:
   Matrix() = default;
 
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  /// Creates a matrix from nested initializer lists; all rows must have
-  /// equal length.  Throws std::invalid_argument on ragged input.
-  Matrix(std::initializer_list<std::initializer_list<double>> rows);
-
-  [[nodiscard]] static Matrix identity(std::size_t n);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -41,9 +33,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-
-  /// Bounds-checked access; throws std::out_of_range.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
 
   /// Reshapes to rows x cols and refills every entry with `fill`,
   /// reusing the existing heap block when capacity allows.  The
@@ -58,15 +47,9 @@ class Matrix {
 
   [[nodiscard]] Matrix transposed() const;
 
-  /// Matrix-vector product y = A x.  Throws on dimension mismatch.
-  [[nodiscard]] Vector multiply(const Vector& x) const;
-
   /// Row-vector product y = x^T A (useful for pi Q).  Throws on
   /// dimension mismatch.
   [[nodiscard]] Vector left_multiply(const Vector& x) const;
-
-  /// Matrix product.  Throws on dimension mismatch.
-  [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
   bool operator==(const Matrix& other) const = default;
 

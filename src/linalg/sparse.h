@@ -10,13 +10,6 @@
 
 namespace rascal::linalg {
 
-/// Coordinate-format entry used while assembling a sparse matrix.
-struct Triplet {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  double value = 0.0;
-};
-
 /// A view of a square CSR sparsity pattern with 32-bit indices, as
 /// the Krylov plan (krylov_plan.h) keeps its system's: row r occupies
 /// [row_ptr[r], row_ptr[r+1]) of col_idx, column-sorted with unique
@@ -30,17 +23,10 @@ struct CsrPatternView {
   }
 };
 
-/// Immutable CSR matrix.  Duplicate (row, col) triplets are summed
-/// during construction, matching the usual assembly semantics.
+/// Immutable CSR matrix, built from its arrays.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-
-  /// Builds from triplets.  Throws std::invalid_argument when an index
-  /// is out of range.  Assembly is a counting sort straight into the
-  /// CSR arrays — the triplet list is never copied or reordered.
-  CsrMatrix(std::size_t rows, std::size_t cols,
-            const std::vector<Triplet>& triplets);
 
   /// Adopts pre-built CSR arrays without any triplet round trip.  Rows
   /// must be column-sorted with unique columns; throws
@@ -57,28 +43,9 @@ class CsrMatrix {
     return values_.size();
   }
 
-  /// y = A x.  Throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] Vector multiply(const Vector& x) const;
-
-  /// y = A x into caller-owned storage (y is resized; x and y may not
-  /// alias).  Same accumulation order as multiply().
-  void multiply_into(const Vector& x, Vector& y) const;
-
-  /// y = x^T A.  Throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] Vector left_multiply(const Vector& x) const;
-
   /// y = x^T A into caller-owned storage (y is resized; x and y may
-  /// not alias).  Same accumulation order as left_multiply().
+  /// not alias).  Throws std::invalid_argument on dimension mismatch.
   void left_multiply_into(const Vector& x, Vector& y) const;
-
-  /// Value at (r, c); zero when not stored.  Bounds-checked.
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  [[nodiscard]] Matrix to_dense() const;
-
-  /// Row r as (col, value) pairs, ordered by column.
-  [[nodiscard]] std::vector<std::pair<std::size_t, double>> row(
-      std::size_t r) const;
 
   /// Raw CSR arrays for allocation-free iteration: row r occupies
   /// [row_ptr()[r], row_ptr()[r+1]) in col_idx()/values().
@@ -93,8 +60,6 @@ class CsrMatrix {
   }
 
  private:
-  void build(const std::vector<Triplet>& triplets);
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_ptr_{0};

@@ -23,17 +23,12 @@ namespace rascal::lint {
 // Stable diagnostic codes (catalogued in docs/lint.md).  They live
 // here rather than in lint.h because the ctmc solvers emit a subset
 // of them (R010, R011, R015, R032) during fail-fast validation.
+// Retired codes (R001, R002, R004-R007, R009, R040-R044) are never
+// reused.
 namespace codes {
 inline constexpr const char* kParseError = "R000";
-inline constexpr const char* kNonPositiveRate = "R001";
-inline constexpr const char* kNonFiniteRate = "R002";
 inline constexpr const char* kSelfLoop = "R003";
-inline constexpr const char* kDuplicateTransition = "R004";
-inline constexpr const char* kEndpointOutOfRange = "R005";
-inline constexpr const char* kRowSumViolation = "R006";
-inline constexpr const char* kNegativeOffDiagonal = "R007";
 inline constexpr const char* kNonFiniteReward = "R008";
-inline constexpr const char* kBadStateName = "R009";
 inline constexpr const char* kNotIrreducible = "R010";
 inline constexpr const char* kUnreachableState = "R011";
 inline constexpr const char* kAbsorbingState = "R012";
@@ -49,11 +44,6 @@ inline constexpr const char* kNegativeRateExpr = "R025";
 inline constexpr const char* kStiffChain = "R030";
 inline constexpr const char* kNearZeroRate = "R031";
 inline constexpr const char* kHorizonInfeasible = "R032";
-inline constexpr const char* kEmptyComposition = "R040";
-inline constexpr const char* kReducibleComponent = "R041";
-inline constexpr const char* kProductSpaceLarge = "R042";
-inline constexpr const char* kConstantComponentReward = "R043";
-inline constexpr const char* kDegenerateCompositeReward = "R044";
 }  // namespace codes
 
 enum class Severity {

@@ -1,9 +1,7 @@
 #include "lint/lint.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -183,151 +181,6 @@ LintReport lint_ctmc(const ctmc::Ctmc& chain, const LintOptions& options) {
   return report;
 }
 
-LintReport lint_raw_model(const std::vector<ctmc::State>& states,
-                          const std::vector<ctmc::Transition>& transitions,
-                          const LintOptions& options) {
-  LintReport report;
-  if (states.empty()) {
-    report.add(make(codes::kBadStateName, Severity::kError,
-                    "model declares no states"));
-    return report;
-  }
-  std::set<std::string> names;
-  for (const ctmc::State& s : states) {
-    if (s.name.empty()) {
-      report.add(
-          make(codes::kBadStateName, Severity::kError, "empty state name"));
-    } else if (!names.insert(s.name).second) {
-      report.add(make(codes::kBadStateName, Severity::kError,
-                      "duplicate state name '" + s.name + "'",
-                      state_loc(s.name)));
-    }
-    if (!std::isfinite(s.reward)) {
-      report.add(make(codes::kNonFiniteReward, Severity::kError,
-                      "non-finite reward for state '" + s.name + "'",
-                      state_loc(s.name)));
-    }
-  }
-
-  const auto name_of = [&states](StateId id) {
-    return id < states.size() ? states[id].name
-                              : "#" + std::to_string(id);
-  };
-  for (const ctmc::Transition& t : transitions) {
-    const Location loc = transition_loc(name_of(t.from), name_of(t.to));
-    if (t.from >= states.size() || t.to >= states.size()) {
-      report.add(make(codes::kEndpointOutOfRange, Severity::kError,
-                      "transition endpoint out of range (" +
-                          std::to_string(t.from) + " -> " +
-                          std::to_string(t.to) + ", " +
-                          std::to_string(states.size()) + " states)",
-                      loc));
-      continue;
-    }
-    if (t.from == t.to) {
-      report.add(make(codes::kSelfLoop, Severity::kError,
-                      "self-loop on state '" + states[t.from].name +
-                          "' (self-loops are meaningless in a CTMC "
-                          "generator)",
-                      loc, "remove the transition"));
-    }
-    if (!std::isfinite(t.rate)) {
-      report.add(make(codes::kNonFiniteRate, Severity::kError,
-                      "non-finite rate on '" + states[t.from].name +
-                          " -> " + states[t.to].name + "'",
-                      loc));
-    } else if (t.rate <= 0.0) {
-      report.add(make(codes::kNonPositiveRate, Severity::kError,
-                      (t.rate == 0.0 ? std::string("zero")
-                                     : std::string("negative")) +
-                          " rate " + fmt(t.rate) + " on '" +
-                          states[t.from].name + " -> " +
-                          states[t.to].name + "'",
-                      loc,
-                      "rates must be strictly positive; check for a "
-                      "sign flip in the rate formula"));
-    }
-  }
-
-  // Duplicate (parallel) transitions: merged by the constructor, but
-  // almost always a copy-paste mistake in hand-written models.
-  std::vector<std::pair<StateId, StateId>> pairs;
-  pairs.reserve(transitions.size());
-  for (const ctmc::Transition& t : transitions) {
-    if (t.from < states.size() && t.to < states.size()) {
-      pairs.emplace_back(t.from, t.to);
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  for (std::size_t i = 1; i < pairs.size(); ++i) {
-    if (pairs[i] == pairs[i - 1] &&
-        (i == 1 || pairs[i] != pairs[i - 2])) {
-      report.add(make(codes::kDuplicateTransition, Severity::kWarning,
-                      "duplicate transition '" + name_of(pairs[i].first) +
-                          " -> " + name_of(pairs[i].second) +
-                          "' (parallel rates are summed)",
-                      transition_loc(name_of(pairs[i].first),
-                                     name_of(pairs[i].second)),
-                      "merge the rates into one transition"));
-    }
-  }
-
-  if (!report.has_errors()) {
-    report.merge(
-        lint_ctmc(ctmc::Ctmc(states, transitions), options));
-  }
-  return report;
-}
-
-LintReport lint_generator(const linalg::Matrix& q,
-                          const LintOptions& options) {
-  LintReport report;
-  if (q.rows() != q.cols()) {
-    report.add(make(codes::kRowSumViolation, Severity::kError,
-                    "generator matrix is not square (" +
-                        std::to_string(q.rows()) + "x" +
-                        std::to_string(q.cols()) + ")"));
-    return report;
-  }
-  for (std::size_t r = 0; r < q.rows(); ++r) {
-    double sum = 0.0;
-    double magnitude = 0.0;
-    bool finite = true;
-    for (std::size_t c = 0; c < q.cols(); ++c) {
-      const double v = q(r, c);
-      if (!std::isfinite(v)) {
-        report.add(make(codes::kNonFiniteRate, Severity::kError,
-                        "non-finite generator entry at (" +
-                            std::to_string(r) + ", " + std::to_string(c) +
-                            ")"));
-        finite = false;
-        continue;
-      }
-      if (r != c && v < 0.0) {
-        report.add(make(codes::kNegativeOffDiagonal, Severity::kError,
-                        "negative off-diagonal generator entry " + fmt(v) +
-                            " at (" + std::to_string(r) + ", " +
-                            std::to_string(c) + ")",
-                        {},
-                        "off-diagonal entries are rates and must be >= 0; "
-                        "check for a sign flip"));
-      }
-      sum += v;
-      magnitude = std::max(magnitude, std::abs(v));
-    }
-    if (finite &&
-        std::abs(sum) > options.row_sum_tolerance * std::max(1.0, magnitude)) {
-      report.add(make(codes::kRowSumViolation, Severity::kError,
-                      "generator row " + std::to_string(r) + " sums to " +
-                          fmt(sum) + " instead of 0",
-                      {},
-                      "the diagonal must equal the negated sum of the "
-                      "row's off-diagonal rates"));
-    }
-  }
-  return report;
-}
-
 LintReport lint_symbolic(const ctmc::SymbolicCtmc& model,
                          const expr::ParameterSet& params,
                          const LintOptions& options) {
@@ -348,6 +201,17 @@ LintReport lint_symbolic(const ctmc::SymbolicCtmc& model,
     const Location loc = transition_loc(from, to);
     const std::set<std::string> variables = t.rate.variables();
     referenced.insert(variables.begin(), variables.end());
+
+    if (t.from == t.to) {
+      // The Ctmc constructor rejects a self-loop whatever its rate, so
+      // it is reported here, before lint_model binds.
+      report.add(make(codes::kSelfLoop, Severity::kError,
+                      "self-loop on state '" + from +
+                          "' (self-loops are meaningless in a CTMC "
+                          "generator)",
+                      loc, "remove the transition"));
+      continue;
+    }
 
     bool bound = true;
     for (const std::string& v : variables) {
@@ -449,79 +313,6 @@ LintReport lint_ranges(const std::vector<stats::ParameterRange>& ranges,
                           "] for parameter '" + r.name +
                           "' (every sample draws the same value)",
                       loc, "use a --set override instead of a range"));
-    }
-  }
-  return report;
-}
-
-LintReport lint_composition(const std::vector<ctmc::Ctmc>& parts,
-                            const ctmc::RewardCombiner& combine,
-                            const LintOptions& options) {
-  LintReport report;
-  if (parts.empty()) {
-    report.add(make(codes::kEmptyComposition, Severity::kError,
-                    "composition has no component chains"));
-    return report;
-  }
-  std::vector<double> min_rewards;
-  std::vector<double> max_rewards;
-  std::size_t total = 1;
-  bool overflowed = false;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    const ctmc::Ctmc& part = parts[k];
-    if (!part.is_irreducible()) {
-      report.add(make(codes::kReducibleComponent, Severity::kWarning,
-                      "component " + std::to_string(k) +
-                          " is not irreducible; the composed chain "
-                          "inherits its unreachable/absorbing structure",
-                      {}, "lint the component on its own for details"));
-    }
-    double lo = part.reward(0);
-    double hi = part.reward(0);
-    for (ctmc::StateId s = 1; s < part.num_states(); ++s) {
-      lo = std::min(lo, part.reward(s));
-      hi = std::max(hi, part.reward(s));
-    }
-    if (lo == hi) {
-      report.add(make(codes::kConstantComponentReward, Severity::kWarning,
-                      "component " + std::to_string(k) +
-                          " has the same reward (" + fmt(lo) +
-                          ") in every state and cannot affect the "
-                          "composite availability",
-                      {},
-                      "check the component's up/down reward assignment"));
-    }
-    min_rewards.push_back(lo);
-    max_rewards.push_back(hi);
-    if (!overflowed &&
-        total > options.compose_warn_states / std::max<std::size_t>(
-                    part.num_states(), 1)) {
-      overflowed = true;
-    } else if (!overflowed) {
-      total *= part.num_states();
-    }
-  }
-  if (overflowed) {
-    report.add(make(codes::kProductSpaceLarge, Severity::kWarning,
-                    "product state space exceeds " +
-                        std::to_string(options.compose_warn_states) +
-                        " states",
-                    {},
-                    "lump components first (ctmc/lumping.h) or use the "
-                    "two-state-equivalent hierarchy (core/hierarchy.h)"));
-  }
-  if (combine) {
-    const double combined_lo = combine(min_rewards);
-    const double combined_hi = combine(max_rewards);
-    if (combined_lo == combined_hi) {
-      report.add(make(codes::kDegenerateCompositeReward, Severity::kWarning,
-                      "every composite state gets reward " +
-                          fmt(combined_lo) +
-                          "; the composition cannot distinguish up from "
-                          "down",
-                      {},
-                      "check the reward combiner against the component "
-                      "reward ranges"));
     }
   }
   return report;

@@ -3,9 +3,8 @@
 // structural lint checks need: which components are closed (no edges
 // leaving them) and which vertices are reachable from a root.
 //
-// Graph-only on purpose — the ctmc library uses this for
-// is_irreducible and the solvers' fail-fast validation, so it must
-// not depend on ctmc types.
+// Graph-only on purpose — the ctmc library uses this for the
+// solvers' fail-fast validation, so it must not depend on ctmc types.
 #pragma once
 
 #include <cstddef>

@@ -133,9 +133,4 @@ ctmc::SymbolicCtmc app_server_capacity_model(std::size_t n) {
       });
 }
 
-std::size_t app_server_n_instance_state_count(std::size_t n) noexcept {
-  // Occupancy vectors with r+s+l <= n-1: C(n+2, 3); plus All_Down.
-  return (n + 2) * (n + 1) * n / 6 + 1;
-}
-
 }  // namespace rascal::models

@@ -38,11 +38,6 @@ namespace rascal::models {
 [[nodiscard]] ctmc::SymbolicCtmc app_server_n_instance_model(
     std::size_t n, double recovery_reward = 1.0);
 
-/// Number of states of app_server_n_instance_model(n):
-/// C(n+2, 3) + 1 (occupancy vectors with r+s+l <= n-1, plus All_Down).
-[[nodiscard]] std::size_t app_server_n_instance_state_count(
-    std::size_t n) noexcept;
-
 /// Capacity-reward variant for performability analysis: the reward of
 /// an occupancy state is the fraction of instances serving
 /// (n_up / n), so the expected reward rate is the cluster's expected

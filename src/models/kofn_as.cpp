@@ -1,7 +1,9 @@
 #include "models/kofn_as.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rascal::models {
@@ -120,24 +122,41 @@ KofnAsSparseModel kofn_as_sparse_model(const KofnAsConfig& config) {
 
   KofnAsSparseModel out;
   out.rewards.reserve(n);
-  std::vector<linalg::Triplet> triplets;
   // Per state: at most 2 failure edges per Up node plus one repair
   // edge per busy crew, plus the diagonal.
-  triplets.reserve(n * (2 * config.nodes / 3 + config.repair_crews + 2));
+  const std::size_t per_row = 2 * config.nodes / 3 + config.repair_crews + 2;
+  std::vector<std::size_t> row_ptr;
+  row_ptr.reserve(n + 1);
+  row_ptr.push_back(0);
+  std::vector<std::size_t> col_idx;
+  col_idx.reserve(n * per_row);
+  std::vector<double> values;
+  values.reserve(n * per_row);
+  // Rows come in state order; each row's targets are distinct, so
+  // sorting a row by column orders it without merging anything.
+  std::vector<std::pair<std::size_t, double>> row;
   std::vector<unsigned char> digits(config.nodes, 0);
   for (std::size_t s = 0; s < n; ++s) {
     decode(s, config.nodes, digits);
     out.rewards.push_back(reward_of(config, digits));
+    row.clear();
     double exit = 0.0;
     for_each_transition(config, s, digits,
-                        [&triplets, &exit](std::size_t from, std::size_t to,
-                                           double rate) {
-                          triplets.push_back({from, to, rate});
+                        [&row, &exit](std::size_t, std::size_t to,
+                                      double rate) {
+                          row.emplace_back(to, rate);
                           exit += rate;
                         });
-    if (exit != 0.0) triplets.push_back({s, s, -exit});
+    if (exit != 0.0) row.emplace_back(s, -exit);
+    std::sort(row.begin(), row.end());
+    for (const auto& [col, value] : row) {
+      col_idx.push_back(col);
+      values.push_back(value);
+    }
+    row_ptr.push_back(col_idx.size());
   }
-  out.generator = linalg::CsrMatrix(n, n, triplets);
+  out.generator = linalg::CsrMatrix::from_parts(
+      n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
   return out;
 }
 

@@ -42,9 +42,9 @@ struct KofnAsSparseModel {
 };
 
 /// CSR-direct generator for the large-n path: states are enumerated
-/// in encoding order so the triplets are emitted row-sorted, and no
-/// Ctmc, state-name strings, or dense Matrix are ever built.  Same
-/// validation as kofn_as_model.
+/// in encoding order so the rows are built in order, straight into
+/// the CSR arrays, and no Ctmc, state-name strings, or dense Matrix
+/// are ever built.  Same validation as kofn_as_model.
 [[nodiscard]] KofnAsSparseModel kofn_as_sparse_model(
     const KofnAsConfig& config);
 

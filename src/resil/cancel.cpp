@@ -3,8 +3,6 @@
 #include <chrono>
 #include <csignal>
 
-#include "obs/obs.h"
-
 namespace rascal::resil {
 
 namespace {
@@ -21,13 +19,6 @@ extern "C" void resil_signal_handler(int signal_number) {
 }
 
 }  // namespace
-
-void CancellationToken::request_cancel(CancelReason reason) noexcept {
-  int expected = static_cast<int>(CancelReason::kNone);
-  reason_.compare_exchange_strong(expected, static_cast<int>(reason),
-                                  std::memory_order_relaxed);
-  if (obs::enabled()) obs::counter("resil.cancel.requests").add(1);
-}
 
 void CancellationToken::request_cancel_signal(int signal_number) noexcept {
   // Called from a signal handler: lock-free atomic stores only.
@@ -68,7 +59,6 @@ bool CancellationToken::cancelled() const noexcept {
 std::string CancellationToken::describe() const {
   switch (reason()) {
     case CancelReason::kNone: return "not cancelled";
-    case CancelReason::kRequested: return "cancellation requested";
     case CancelReason::kDeadline: return "deadline exceeded";
     case CancelReason::kSignal: {
       const int sig = signal_number();

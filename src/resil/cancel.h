@@ -1,11 +1,11 @@
 // Cooperative cancellation for long-running work.
 //
 // A CancellationToken carries a latched cancel flag plus an optional
-// wall-clock deadline.  Producers (signal handlers, --deadline, the
-// embedding application) request cancellation; consumers (parallel
-// sampling loops, iterative solvers, the event-driven simulator) poll
-// `cancelled()` at safe points, drain, flush their checkpoint, and
-// return partial results clearly marked as such.
+// wall-clock deadline.  Producers (signal handlers, --deadline) cancel
+// it; consumers (parallel sampling loops, iterative solvers, the
+// event-driven simulator) poll `cancelled()` at safe points, drain,
+// flush their checkpoint, and return partial results clearly marked
+// as such.
 //
 // The token is designed so `request_cancel_signal()` is safe to call
 // from a signal handler: it touches nothing but lock-free atomics.
@@ -20,7 +20,6 @@ namespace rascal::resil {
 
 enum class CancelReason {
   kNone,       // not cancelled
-  kRequested,  // programmatic request_cancel()
   kDeadline,   // wall-clock deadline expired
   kSignal,     // SIGINT / SIGTERM (see signal_number())
 };
@@ -40,18 +39,15 @@ class CancellationToken {
   CancellationToken(const CancellationToken&) = delete;
   CancellationToken& operator=(const CancellationToken&) = delete;
 
-  /// Latches the cancel flag.  Not async-signal-safe (it records a
-  /// telemetry counter); use request_cancel_signal() from handlers.
-  void request_cancel(CancelReason reason = CancelReason::kRequested) noexcept;
-
-  /// Async-signal-safe variant: lock-free atomic stores only.
+  /// Latches the cancel flag with reason kSignal.  Async-signal-safe:
+  /// lock-free atomic stores only.
   void request_cancel_signal(int signal_number) noexcept;
 
   /// Arms a deadline `seconds` from now (steady clock).  Passing a
   /// non-positive value makes the very next cancelled() check fire.
   void set_deadline_after(double seconds) noexcept;
 
-  /// True once cancellation was requested or the deadline has passed.
+  /// True once a signal arrived or the deadline has passed.
   /// The reason is latched on first observation and never changes.
   [[nodiscard]] bool cancelled() const noexcept;
 

@@ -335,10 +335,6 @@ Checkpointer::~Checkpointer() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Checkpointer::set_flush_every(std::size_t every) noexcept {
-  flush_every_ = every > 0 ? every : 1;
-}
-
 void Checkpointer::set_write_failure_policy(
     WriteFailurePolicy policy) noexcept {
   write_failure_policy_ = policy;

@@ -87,8 +87,9 @@ class DigestBuilder {
 };
 
 /// Thread-safe checkpoint sink.  Workers `record()` each finished
-/// index; every `flush_every` new entries (RASCAL_CHECKPOINT_EVERY
-/// env, default 32) — and on the final explicit `flush()` — the
+/// index; every RASCAL_CHECKPOINT_EVERY new entries (read when the
+/// Checkpointer is constructed; default 32) — and on the final
+/// explicit `flush()` — the
 /// entries recorded since the previous flush are appended to `path`
 /// as one segment.  Total work and bytes written are linear in the
 /// number of entries.
@@ -137,9 +138,6 @@ class Checkpointer {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Test hook: overrides the flush cadence.
-  void set_flush_every(std::size_t every) noexcept;
 
   void set_write_failure_policy(WriteFailurePolicy policy) noexcept;
 

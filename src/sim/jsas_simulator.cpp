@@ -407,32 +407,6 @@ ReplicationOutcome decode_outcome(const std::vector<std::uint64_t>& words) {
 
 }  // namespace
 
-std::uint64_t jsas_sim_checkpoint_digest(const models::JsasConfig& config,
-                                         const expr::ParameterSet& params,
-                                         const JsasSimOptions& options) {
-  const SimParams p(params);
-  resil::DigestBuilder digest;
-  digest.add_str("simulate")
-      .add_u64(config.as_instances)
-      .add_u64(config.hadb_pairs)
-      .add_f64(options.duration)
-      .add_u64(options.replications)
-      .add_u64(options.seed)
-      .add_u64(options.exponential_recoveries ? 1 : 0)
-      // Probe the substream-derivation scheme (see uncertainty digest).
-      .add_u64(stats::RandomEngine(options.seed).substream_seed(0))
-      .add_f64(p.as_la_as).add_f64(p.as_la_os).add_f64(p.as_la_hw)
-      .add_f64(p.as_fss).add_f64(p.as_trecovery)
-      .add_f64(p.as_tstart_short).add_f64(p.as_tstart_long)
-      .add_f64(p.as_tstart_all)
-      .add_f64(p.hadb_la_hadb).add_f64(p.hadb_la_os).add_f64(p.hadb_la_hw)
-      .add_f64(p.hadb_la_mnt)
-      .add_f64(p.hadb_tstart_short).add_f64(p.hadb_tstart_long)
-      .add_f64(p.hadb_trepair).add_f64(p.hadb_tmnt).add_f64(p.hadb_trestore)
-      .add_f64(p.fir).add_f64(p.acc);
-  return digest.value();
-}
-
 JsasSimResult simulate_jsas(const models::JsasConfig& config,
                             const expr::ParameterSet& params,
                             const JsasSimOptions& options) {

@@ -37,7 +37,8 @@ struct JsasSimOptions {
   std::size_t threads = 0;
   // Resilience: cancellation (polled inside the event loop every few
   // thousand events), replication-granular checkpoint/resume, and
-  // skip-failed-replications.  Excluded from the checkpoint digest.
+  // skip-failed-replications.  Like `threads`, it never changes the
+  // result bits, so a checkpoint's digest need not cover it.
   resil::ExecutionControl control;
 };
 
@@ -69,14 +70,6 @@ struct JsasSimResult {
   bool interrupted = false;                // cancelled with work pending
   std::string interrupt_reason;            // cancel token's describe()
 };
-
-/// Fingerprint of everything that determines the simulation's result
-/// bits (config, parameters, duration, replication count, seed,
-/// recovery regime, and the RNG substream derivation — NOT the thread
-/// count); the checkpoint digest.
-[[nodiscard]] std::uint64_t jsas_sim_checkpoint_digest(
-    const models::JsasConfig& config, const expr::ParameterSet& params,
-    const JsasSimOptions& options);
 
 /// Simulates `config` under `params` (same parameter names as the
 /// analytic models).  Throws std::invalid_argument for configurations

@@ -5,11 +5,13 @@
 //      guarantees (Hamiltonian cycle, birth-death skeleton) satisfy
 //      every linter invariant, so a diagnostic on generator output is
 //      a linter false positive.
-//   2. Injecting any single fault from all_model_faults() never lints
-//      clean, and the report carries the fault's expected code — no
-//      false negatives, and the code-to-defect mapping is stable.
+//   2. No single fault from all_model_faults() passes unnoticed: the
+//      Ctmc constructor rejects the mutant, or lint_ctmc reports the
+//      fault's expected structural code — no false negatives, and the
+//      code-to-defect mapping is stable.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,23 +64,27 @@ TEST(PropertyLint, SingleFaultMutantsNeverLintClean) {
     stats::RandomEngine model_rng = root.split(trial++);
     const GeneratedModel model = random_ergodic_ctmc(model_rng);
     const RawModel healthy = raw_model(model.chain);
-    // The healthy raw model is the control: it must lint clean, or
-    // the mutant assertions below would be vacuous.
+    // The healthy raw model is the control: it must construct and
+    // lint clean, or the mutant assertions below would be vacuous.
     ASSERT_TRUE(
-        lint::lint_raw_model(healthy.states, healthy.transitions).empty())
+        lint::lint_ctmc(ctmc::Ctmc(healthy.states, healthy.transitions))
+            .empty())
         << model.description;
     for (ModelFault fault : all_model_faults()) {
       stats::RandomEngine fault_rng = root.split(trial++);
       const RawModel mutant = inject_fault(healthy, fault, fault_rng);
+      const char* code = expected_code(fault);
+      if (code == nullptr) {
+        EXPECT_THROW((void)ctmc::Ctmc(mutant.states, mutant.transitions),
+                     std::invalid_argument)
+            << model.description << ", fault "
+            << static_cast<int>(fault);
+        continue;
+      }
       const lint::LintReport report =
-          lint::lint_raw_model(mutant.states, mutant.transitions);
-      // kDuplicateTransition only warrants a warning, so the property
-      // is "report is non-empty", not "report has errors".
-      EXPECT_FALSE(report.empty())
-          << model.description << ", fault " << expected_code(fault);
-      EXPECT_TRUE(report.has_code(expected_code(fault)))
-          << model.description << ", fault " << expected_code(fault)
-          << " missing from:\n"
+          lint::lint_ctmc(ctmc::Ctmc(mutant.states, mutant.transitions));
+      EXPECT_TRUE(report.has_code(code))
+          << model.description << ", fault " << code << " missing from:\n"
           << report::render_diagnostics_text(report);
     }
   }
@@ -87,13 +93,15 @@ TEST(PropertyLint, SingleFaultMutantsNeverLintClean) {
 TEST(PropertyLint, MutantCodesAreDistinctPerFault) {
   std::vector<std::string> seen;
   for (ModelFault fault : all_model_faults()) {
+    if (expected_code(fault) == nullptr) continue;
     const std::string code = expected_code(fault);
     for (const std::string& other : seen) {
       EXPECT_NE(code, other);
     }
     seen.push_back(code);
   }
-  EXPECT_EQ(seen.size(), all_model_faults().size());
+  // R011, R012 and R013: one per fault the constructor accepts.
+  EXPECT_EQ(seen.size(), 3u);
 }
 
 }  // namespace

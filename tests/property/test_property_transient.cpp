@@ -53,8 +53,9 @@ TEST(TransientConsensus, ShortHorizonStaysNearInitialState) {
   // transient solvers' numerics.
   stats::RandomEngine rng(0xD7);
   const GeneratedModel model = random_ergodic_ctmc(rng);
-  const auto result =
-      ctmc::transient_distribution(model.chain, ctmc::StateId{0}, 1e-6);
+  linalg::Vector start(model.chain.num_states(), 0.0);
+  start[0] = 1.0;
+  const auto result = ctmc::transient_distribution(model.chain, start, 1e-6);
   EXPECT_GT(result.probabilities[0], 0.999);
 }
 

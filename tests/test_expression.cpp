@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "expr/lexer.h"
 
@@ -98,20 +100,16 @@ TEST(Expression, VariablesAreCollected) {
   EXPECT_EQ(vars, (std::set<std::string>{"a", "b", "c"}));
 }
 
-TEST(Expression, ToStringRoundTripsSemantically) {
-  ParameterSet p{{"x", 3.0}, {"y", 0.5}};
-  for (const std::string src :
-       {"2*x*(1-y)", "x^2-y/4", "min(x, y)+max(x, 2)", "-x+3"}) {
-    const Expression original = Expression::parse(src);
-    const Expression reparsed = Expression::parse(original.to_string());
-    EXPECT_DOUBLE_EQ(original.evaluate(p), reparsed.evaluate(p)) << src;
+TEST(Expression, DivisionByZeroNamesTheDivision) {
+  // The message prints the failing division through the AST printer,
+  // fully parenthesized.
+  const ParameterSet p{{"x", 3.0}, {"y", 0.5}};
+  try {
+    (void)eval("2*x/(y-y)+1", p);
+    FAIL() << "expected std::domain_error";
+  } catch (const std::domain_error& e) {
+    EXPECT_STREQ(e.what(), "expression: division by zero in ((2*x)/(y-y))");
   }
-}
-
-TEST(Expression, ConstantConstructor) {
-  const Expression c(2.5);
-  EXPECT_DOUBLE_EQ(c.evaluate({}), 2.5);
-  EXPECT_TRUE(c.variables().empty());
 }
 
 TEST(Expression, PaperRateStringsEvaluate) {
@@ -141,8 +139,9 @@ TEST(ParameterSet, SetGetAndMerge) {
   EXPECT_DOUBLE_EQ(merged.get("a"), 1.0);
   EXPECT_DOUBLE_EQ(merged.get("b"), 5.0);
   EXPECT_DOUBLE_EQ(merged.get("c"), 6.0);
-  EXPECT_EQ(merged.names(),
-            (std::vector<std::string>{"a", "b", "c"}));
+  std::vector<std::string> names;
+  for (const auto& [name, value] : merged) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "c"}));
 }
 
 }  // namespace

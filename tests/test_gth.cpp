@@ -14,16 +14,25 @@ namespace {
 TEST(Gth, TwoStateChainHasClosedForm) {
   const double lambda = 0.3;
   const double mu = 1.7;
-  const Vector pi =
-      gth_stationary({{-lambda, lambda}, {mu, -mu}});
+  Matrix q(2, 2);
+  q(0, 0) = -lambda;
+  q(0, 1) = lambda;
+  q(1, 0) = mu;
+  q(1, 1) = -mu;
+  const Vector pi = gth_stationary(q);
   EXPECT_NEAR(pi[0], mu / (lambda + mu), 1e-14);
   EXPECT_NEAR(pi[1], lambda / (lambda + mu), 1e-14);
 }
 
 TEST(Gth, DiagonalIsIgnored) {
   // Passing garbage on the diagonal must not change the result.
-  const Vector a = gth_stationary({{0.0, 2.0}, {1.0, 0.0}});
-  const Vector b = gth_stationary({{-99.0, 2.0}, {1.0, 123.0}});
+  Matrix q(2, 2);
+  q(0, 1) = 2.0;
+  q(1, 0) = 1.0;
+  const Vector a = gth_stationary(q);
+  q(0, 0) = -99.0;
+  q(1, 1) = 123.0;
+  const Vector b = gth_stationary(q);
   EXPECT_NEAR(a[0], b[0], 1e-15);
   EXPECT_NEAR(a[1], b[1], 1e-15);
 }
@@ -38,14 +47,18 @@ TEST(Gth, RejectsNonSquare) {
 }
 
 TEST(Gth, RejectsNegativeOffDiagonal) {
-  EXPECT_THROW((void)gth_stationary({{0.0, -1.0}, {1.0, 0.0}}),
-               std::invalid_argument);
+  Matrix q(2, 2);
+  q(0, 1) = -1.0;
+  q(1, 0) = 1.0;
+  EXPECT_THROW((void)gth_stationary(q), std::invalid_argument);
 }
 
 TEST(Gth, DetectsReducibleChain) {
   // State 1 cannot leave: zero pivot during elimination.
-  EXPECT_THROW((void)gth_stationary({{-1.0, 1.0}, {0.0, 0.0}}),
-               std::domain_error);
+  Matrix q(2, 2);
+  q(0, 0) = -1.0;
+  q(0, 1) = 1.0;
+  EXPECT_THROW((void)gth_stationary(q), std::domain_error);
 }
 
 TEST(Gth, BirthDeathChainMatchesDetailedBalance) {
@@ -70,7 +83,10 @@ TEST(Gth, HandlesExtremeRateStiffness) {
   // magnitude.  GTH must not lose the small probability.
   const double lambda = 1e-9;
   const double mu = 3600.0;
-  const Vector pi = gth_stationary({{0.0, lambda}, {mu, 0.0}});
+  Matrix q(2, 2);
+  q(0, 1) = lambda;
+  q(1, 0) = mu;
+  const Vector pi = gth_stationary(q);
   EXPECT_NEAR(pi[1], lambda / (lambda + mu), 1e-25);
 }
 

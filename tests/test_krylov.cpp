@@ -13,8 +13,10 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "ctmc/builder.h"
 #include "linalg/gth.h"
 #include "linalg/krylov_plan.h"
 #include "linalg/sparse.h"
@@ -67,46 +69,33 @@ void expect_same_matrix(const Matrix& got, const Matrix& want,
   }
 }
 
-// A small ergodic generator (5-state availability-style chain).
-CsrMatrix small_generator() {
-  std::vector<Triplet> triplets;
-  const auto add = [&](std::size_t from, std::size_t to, double rate) {
-    triplets.push_back({from, to, rate});
-    triplets.push_back({from, from, -rate});
-  };
-  add(0, 1, 0.02);
-  add(0, 2, 0.005);
-  add(1, 0, 12.0);
-  add(1, 3, 0.01);
-  add(2, 0, 0.5);
-  add(3, 4, 2.0);
-  add(4, 0, 6.0);
-  return CsrMatrix(5, 5, triplets);
+// A small ergodic chain (5-state availability-style chain).
+ctmc::Ctmc small_chain() {
+  ctmc::CtmcBuilder b;
+  for (const char* name : {"s0", "s1", "s2", "s3", "s4"}) b.state(name, 1.0);
+  b.rate(0, 1, 0.02).rate(0, 2, 0.005).rate(1, 0, 12.0).rate(1, 3, 0.01);
+  b.rate(2, 0, 0.5).rate(3, 4, 2.0).rate(4, 0, 6.0);
+  return b.build();
 }
+
+CsrMatrix small_generator() { return small_chain().sparse_generator(); }
 
 // A birth-death chain on 0..n-1: i -> i+1 at `birth`, i -> i-1 at
 // `death`.
 CsrMatrix birth_death_generator(std::size_t n, double birth, double death) {
-  std::vector<Triplet> triplets;
-  for (std::size_t i = 0; i < n; ++i) {
-    double exit = 0.0;
-    if (i + 1 < n) {
-      triplets.push_back({i, i + 1, birth});
-      exit += birth;
-    }
-    if (i > 0) {
-      triplets.push_back({i, i - 1, death});
-      exit += death;
-    }
-    triplets.push_back({i, i, -exit});
+  ctmc::CtmcBuilder b;
+  for (std::size_t i = 0; i < n; ++i) b.state("b" + std::to_string(i), 1.0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    b.rate(i, i + 1, birth).rate(i + 1, i, death);
   }
-  return CsrMatrix(n, n, triplets);
+  return b.build().sparse_generator();
 }
 
 TEST(KrylovPlan, LayoutRejectsANonSquareOrEmptyGenerator) {
   KrylovPlan plan;
-  EXPECT_THROW(plan.layout(1, CsrMatrix(2, 3, {{0, 0, 1.0}})),
-               std::invalid_argument);
+  EXPECT_THROW(
+      plan.layout(1, CsrMatrix::from_parts(2, 3, {0, 1, 1}, {0}, {1.0})),
+      std::invalid_argument);
   EXPECT_THROW(plan.layout(1, CsrMatrix()), std::invalid_argument);
   EXPECT_EQ(plan.pattern_id(), 0u);
   // A plan with no layout has no system to solve.
@@ -143,9 +132,8 @@ TEST(Gmres, ConvergesAcrossRestartBoundaries) {
 // A 2-state plan whose A the test overwrites: the generator's pattern
 // fills all four entries of A, row-major in values().
 KrylovPlan two_state_plan(double a00, double a01, double a10, double a11) {
-  KrylovPlan plan =
-      plan_for(CsrMatrix(2, 2, {{0, 0, -1.0}, {0, 1, 1.0}, {1, 0, 1.0},
-                                {1, 1, -1.0}}));
+  KrylovPlan plan = plan_for(CsrMatrix::from_parts(
+      2, 2, {0, 2, 4}, {0, 1, 0, 1}, {-1.0, 1.0, 1.0, -1.0}));
   const std::span<double> values = plan.values();
   EXPECT_EQ(values.size(), 4u);
   values[0] = a00;
@@ -188,7 +176,7 @@ TEST(Krylov, PreArmedCancelStopsBeforeTheFirstMatvec) {
   // token cancelled before the solve starts must yield zero matvecs.
   KrylovPlan plan = plan_for(small_generator());
   resil::CancellationToken cancel;
-  cancel.request_cancel();
+  cancel.set_deadline_after(0.0);
   KrylovOptions options;
   options.cancel = &cancel;
   const KrylovResult g = gmres_stationary(plan, options);
@@ -203,7 +191,7 @@ TEST(Krylov, PreArmedCancelStopsBeforeTheFirstMatvec) {
 
 TEST(Stationary, WrappersMatchDenseGth) {
   const CsrMatrix q = small_generator();
-  const Vector reference = gth_stationary(q.to_dense());
+  const Vector reference = gth_stationary(small_chain().generator());
   KrylovPlan plan = plan_for(q);
   for (const PrecondKind kind :
        {PrecondKind::kNone, PrecondKind::kJacobi, PrecondKind::kIlu0}) {
@@ -235,7 +223,7 @@ TEST(Stationary, AugmentedSystemHasTheNormalizationRow) {
   const std::size_t n = q.rows();
   // A is Q^T with its last row, the balance equation it replaces,
   // all ones.
-  const Matrix dense_q = q.to_dense();
+  const Matrix dense_q = small_chain().generator();
   Matrix augmented(n, n, 1.0);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) augmented(i, j) = dense_q(j, i);

@@ -1,12 +1,11 @@
-// Unit tests for the model linter: every diagnostic code R001-R044 on
-// a minimal broken model, the rendering paths (text + JSON), the
+// Unit tests for the model linter: every live diagnostic code on a
+// minimal broken model, the rendering paths (text + JSON), the
 // diagnostics-carrying LintError, and the clean bill of health for
 // every paper model in src/models.
 #include "lint/lint.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -35,7 +34,6 @@ namespace rascal::lint {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 ctmc::Ctmc two_state(double lambda = 1.0, double mu = 2.0) {
   ctmc::CtmcBuilder b;
@@ -43,111 +41,6 @@ ctmc::Ctmc two_state(double lambda = 1.0, double mu = 2.0) {
   b.state("Down", 0.0);
   b.rate(0, 1, lambda).rate(1, 0, mu);
   return b.build();
-}
-
-// ---------------------------------------------------------------- raw model
-
-TEST(LintRawModel, CleanModelHasNoDiagnostics) {
-  const ctmc::Ctmc chain = two_state();
-  const LintReport report =
-      lint_raw_model(chain.states(), chain.transitions());
-  EXPECT_TRUE(report.empty()) << report::render_diagnostics_text(report);
-}
-
-TEST(LintRawModel, R001NonPositiveRate) {
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"b", 0.0}}, {{0, 1, -2.5}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kNonPositiveRate));
-  EXPECT_TRUE(report.has_errors());
-}
-
-TEST(LintRawModel, R002NonFiniteRate) {
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"b", 0.0}}, {{0, 1, kNan}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kNonFiniteRate));
-}
-
-TEST(LintRawModel, R003SelfLoop) {
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"b", 0.0}}, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kSelfLoop));
-}
-
-TEST(LintRawModel, R004DuplicateTransitionIsAWarning) {
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"b", 0.0}}, {{0, 1, 1.0}, {0, 1, 2.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kDuplicateTransition));
-  EXPECT_FALSE(report.has_errors());
-  EXPECT_EQ(report.count(Severity::kWarning), 1u);
-}
-
-TEST(LintRawModel, R005EndpointOutOfRange) {
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"b", 0.0}}, {{0, 7, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kEndpointOutOfRange));
-}
-
-TEST(LintRawModel, R008NonFiniteReward) {
-  const LintReport report = lint_raw_model(
-      {{"a", kInf}, {"b", 0.0}}, {{0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kNonFiniteReward));
-}
-
-TEST(LintRawModel, R009DuplicateAndEmptyStateNames) {
-  const LintReport duplicate = lint_raw_model(
-      {{"a", 1.0}, {"a", 0.0}}, {{0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(duplicate.has_code(codes::kBadStateName));
-  const LintReport empty = lint_raw_model(
-      {{"", 1.0}, {"b", 0.0}}, {{0, 1, 1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(empty.has_code(codes::kBadStateName));
-}
-
-TEST(LintRawModel, ReportsEveryViolationAtOnce) {
-  // The Ctmc constructor stops at the first problem; the linter must
-  // keep going and name all three.
-  const LintReport report = lint_raw_model(
-      {{"a", 1.0}, {"a", kInf}},
-      {{0, 0, 1.0}, {0, 1, -1.0}, {1, 0, 1.0}});
-  EXPECT_TRUE(report.has_code(codes::kBadStateName));
-  EXPECT_TRUE(report.has_code(codes::kNonFiniteReward));
-  EXPECT_TRUE(report.has_code(codes::kSelfLoop));
-  EXPECT_TRUE(report.has_code(codes::kNonPositiveRate));
-  EXPECT_GE(report.size(), 4u);
-}
-
-// ---------------------------------------------------------------- generator
-
-TEST(LintGenerator, R006RowSumViolation) {
-  linalg::Matrix q(2, 2);
-  q(0, 0) = -1.0;
-  q(0, 1) = 2.0;  // row sums to 1, not 0
-  q(1, 0) = 1.0;
-  q(1, 1) = -1.0;
-  const LintReport report = lint_generator(q);
-  EXPECT_TRUE(report.has_code(codes::kRowSumViolation));
-}
-
-TEST(LintGenerator, R007NegativeOffDiagonal) {
-  linalg::Matrix q(2, 2);
-  q(0, 0) = 1.0;
-  q(0, 1) = -1.0;
-  q(1, 0) = 1.0;
-  q(1, 1) = -1.0;
-  const LintReport report = lint_generator(q);
-  EXPECT_TRUE(report.has_code(codes::kNegativeOffDiagonal));
-}
-
-TEST(LintGenerator, NonSquareAndNonFiniteRejected) {
-  EXPECT_TRUE(lint_generator(linalg::Matrix(2, 3))
-                  .has_code(codes::kRowSumViolation));
-  linalg::Matrix q(2, 2);
-  q(0, 1) = kNan;
-  EXPECT_TRUE(lint_generator(q).has_code(codes::kNonFiniteRate));
-}
-
-TEST(LintGenerator, AcceptsValidGenerator) {
-  const LintReport report = lint_generator(two_state().generator());
-  EXPECT_TRUE(report.empty()) << report::render_diagnostics_text(report);
 }
 
 // ---------------------------------------------------------------- structure
@@ -252,6 +145,39 @@ TEST(LintSymbolic, R022GuaranteedDivisionByZero) {
   EXPECT_TRUE(report.has_code(codes::kDivisionByZero));
 }
 
+TEST(LintSymbolic, R003SelfLoopIsAnErrorAndLintModelDoesNotThrow) {
+  // The Ctmc constructor rejects a self-loop, so lint_model must stop
+  // at the symbolic pass instead of binding the model.
+  ctmc::SymbolicCtmc model;
+  (void)model.state("Up", 1.0);
+  (void)model.state("Down", 0.0);
+  model.rate("Up", "Up", "La").rate("Up", "Down", "La").rate("Down", "Up",
+                                                              "Mu");
+  expr::ParameterSet params;
+  params.set("La", 0.1).set("Mu", 2.0);
+  const LintReport symbolic = lint_symbolic(model, params);
+  EXPECT_TRUE(symbolic.has_code(codes::kSelfLoop));
+  EXPECT_EQ(symbolic.count(Severity::kError), 1u);
+  LintReport report;
+  ASSERT_NO_THROW(report = lint_model(model, params));
+  ASSERT_EQ(report.size(), 1u) << report::render_diagnostics_text(report);
+  const Diagnostic& d = *report.begin();
+  EXPECT_EQ(d.code, codes::kSelfLoop);
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location.from, "Up");
+  EXPECT_EQ(d.location.to, "Up");
+}
+
+TEST(LintSymbolic, R008NonFiniteReward) {
+  ctmc::SymbolicCtmc model;
+  (void)model.state("Up", kInf);
+  (void)model.state("Down", 0.0);
+  model.rate("Up", "Down", "1").rate("Down", "Up", "2");
+  const LintReport report = lint_symbolic(model, expr::ParameterSet{});
+  EXPECT_TRUE(report.has_code(codes::kNonFiniteReward));
+  EXPECT_TRUE(report.has_errors());
+}
+
 TEST(LintSymbolic, R024ZeroRateWarningAndR025NegativeRate) {
   ctmc::SymbolicCtmc model;
   (void)model.state("Up", 1.0);
@@ -284,55 +210,6 @@ TEST(LintRanges, R020UnboundRangeParameterIsAWarning) {
       lint_ranges({{"Ghost", 0.0, 1.0}}, expr::ParameterSet{});
   EXPECT_TRUE(report.has_code(codes::kUndefinedParameter));
   EXPECT_FALSE(report.has_errors());
-}
-
-// ------------------------------------------------------------- composition
-
-TEST(LintComposition, R040EmptyComposition) {
-  EXPECT_TRUE(lint_composition({}).has_code(codes::kEmptyComposition));
-}
-
-TEST(LintComposition, R041ReducibleComponent) {
-  ctmc::CtmcBuilder b;
-  b.state("Up", 1.0);
-  b.state("Trap", 0.0);
-  b.rate(0, 1, 1.0);
-  const LintReport report = lint_composition({two_state(), b.build()});
-  EXPECT_TRUE(report.has_code(codes::kReducibleComponent));
-}
-
-TEST(LintComposition, R042ProductSpaceBlowup) {
-  LintOptions options;
-  options.compose_warn_states = 3;
-  const LintReport report =
-      lint_composition({two_state(), two_state()},
-                       ctmc::min_reward_combiner(), options);
-  EXPECT_TRUE(report.has_code(codes::kProductSpaceLarge));
-}
-
-TEST(LintComposition, R043ConstantComponentReward) {
-  ctmc::CtmcBuilder b;
-  b.state("a", 1.0);
-  b.state("b", 1.0);  // same reward everywhere
-  b.rate(0, 1, 1.0).rate(1, 0, 1.0);
-  const LintReport report = lint_composition({two_state(), b.build()});
-  EXPECT_TRUE(report.has_code(codes::kConstantComponentReward));
-}
-
-TEST(LintComposition, R044DegenerateCompositeReward) {
-  // min() over a component that is always down flattens the composite
-  // reward to a constant 0.
-  ctmc::CtmcBuilder b;
-  b.state("a", 0.0);
-  b.state("b", 0.0);
-  b.rate(0, 1, 1.0).rate(1, 0, 1.0);
-  const LintReport report = lint_composition({two_state(), b.build()});
-  EXPECT_TRUE(report.has_code(codes::kDegenerateCompositeReward));
-}
-
-TEST(LintComposition, CleanCompositionLintsClean) {
-  const LintReport report = lint_composition({two_state(), two_state(3.0)});
-  EXPECT_TRUE(report.empty()) << report::render_diagnostics_text(report);
 }
 
 // -------------------------------------------------------------- fail-fast
@@ -390,7 +267,8 @@ TEST(FailFast, TransientRejectsInfeasibleHorizonWithR032) {
   options.max_terms = 100;
   try {
     (void)ctmc::transient_distribution(two_state(1e6, 1e6),
-                                       ctmc::StateId{0}, 1e6, options);
+                                       linalg::Vector{1.0, 0.0}, 1e6,
+                                       options);
     FAIL() << "expected lint::LintError";
   } catch (const LintError& e) {
     EXPECT_TRUE(e.report().has_code(codes::kHorizonInfeasible));
@@ -546,13 +424,13 @@ TEST(Rendering, TextFormatShowsLocationCodeAndHint) {
 TEST(Rendering, JsonFormatIsDeterministicAndEscaped) {
   LintReport report;
   Diagnostic d;
-  d.code = codes::kBadStateName;
+  d.code = codes::kAbsorbingState;
   d.severity = Severity::kWarning;
   d.message = "name has a \"quote\" and a\nnewline";
   d.location.state = "s0";
   report.add(d);
   const std::string json = report::render_diagnostics_json(report);
-  EXPECT_NE(json.find("\"code\": \"R009\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"code\": \"R012\""), std::string::npos) << json;
   EXPECT_NE(json.find("\\\"quote\\\""), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
   EXPECT_NE(json.find("\"warnings\": 1"), std::string::npos);

@@ -11,7 +11,12 @@ namespace {
 
 TEST(Lu, SolvesSmallSystem) {
   // 2x + y = 5; x + 3y = 10  =>  x = 1, y = 3.
-  const Vector x = solve_linear_system({{2.0, 1.0}, {1.0, 3.0}}, {5.0, 10.0});
+  Matrix a(2, 2);
+  a(0, 0) = 2.0;
+  a(0, 1) = 1.0;
+  a(1, 0) = 1.0;
+  a(1, 1) = 3.0;
+  const Vector x = solve_linear_system(a, {5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -21,24 +26,42 @@ TEST(Lu, RequiresSquareMatrix) {
 }
 
 TEST(Lu, DetectsSingularMatrix) {
-  EXPECT_THROW(LuDecomposition({{1.0, 2.0}, {2.0, 4.0}}), std::domain_error);
+  Matrix a(2, 2);
+  a(0, 0) = 1.0;
+  a(0, 1) = 2.0;
+  a(1, 0) = 2.0;
+  a(1, 1) = 4.0;
+  EXPECT_THROW(LuDecomposition{a}, std::domain_error);
 }
 
 TEST(Lu, PivotsOnZeroDiagonal) {
   // Naive elimination without pivoting fails on a(0,0) == 0.
-  const Vector x = solve_linear_system({{0.0, 1.0}, {1.0, 0.0}}, {2.0, 3.0});
+  Matrix a(2, 2);
+  a(0, 1) = 1.0;
+  a(1, 0) = 1.0;
+  const Vector x = solve_linear_system(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, SolveRejectsWrongLength) {
-  const LuDecomposition lu(Matrix::identity(3));
+  Matrix a(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) a(i, i) = 2.0;
+  const LuDecomposition lu(a);
   EXPECT_THROW((void)lu.solve(Vector{1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(Lu, MatrixRhsSolvesColumnwise) {
-  const LuDecomposition lu(Matrix{{2.0, 0.0}, {0.0, 4.0}});
-  const Matrix x = lu.solve(Matrix{{2.0, 4.0}, {4.0, 8.0}});
+  Matrix a(2, 2);
+  a(0, 0) = 2.0;
+  a(1, 1) = 4.0;
+  Matrix b(2, 2);
+  b(0, 0) = 2.0;
+  b(0, 1) = 4.0;
+  b(1, 0) = 4.0;
+  b(1, 1) = 8.0;
+  const LuDecomposition lu(a);
+  const Matrix x = lu.solve(b);
   EXPECT_NEAR(x(0, 0), 1.0, 1e-12);
   EXPECT_NEAR(x(0, 1), 2.0, 1e-12);
   EXPECT_NEAR(x(1, 0), 1.0, 1e-12);
@@ -58,7 +81,8 @@ TEST_P(LuRandomized, ReconstructsRandomSystems) {
   }
   Vector x_true(n);
   for (double& v : x_true) v = dist(gen);
-  const Vector b = a.multiply(x_true);
+  // b = A x, as (x^T A^T)^T.
+  const Vector b = a.transposed().left_multiply(x_true);
   const Vector x = LuDecomposition(a).solve(b);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }

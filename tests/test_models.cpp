@@ -3,6 +3,7 @@
 #include "core/metrics.h"
 #include "core/units.h"
 #include "ctmc/steady_state.h"
+#include "lint/lint.h"
 #include "models/app_server.h"
 #include "models/hadb_pair.h"
 #include "models/params.h"
@@ -40,7 +41,8 @@ TEST(HadbPairModel, HasFigureThreeStructure) {
   // Only 2_Down is a failure state.
   EXPECT_EQ(chain.states_with_reward_below(0.5),
             std::vector<ctmc::StateId>{chain.state("2_Down")});
-  EXPECT_TRUE(chain.is_irreducible());
+  EXPECT_FALSE(
+      lint::lint_ctmc(chain).has_code(lint::codes::kNotIrreducible));
 }
 
 TEST(HadbPairModel, RatesMatchFigureThree) {
@@ -77,7 +79,8 @@ TEST(AppServerTwoInstance, HasFigureFourStructure) {
        {"All_Work", "Recovery", "1DownShort", "1DownLong", "2_Down"}) {
     EXPECT_TRUE(chain.find_state(name).has_value()) << name;
   }
-  EXPECT_TRUE(chain.is_irreducible());
+  EXPECT_FALSE(
+      lint::lint_ctmc(chain).has_code(lint::codes::kNotIrreducible));
 }
 
 TEST(AppServerTwoInstance, RatesMatchFigureFour) {
@@ -100,16 +103,20 @@ TEST(AppServerTwoInstance, RatesMatchFigureFour) {
 }
 
 TEST(AppServerNInstance, StateCountFormula) {
-  EXPECT_EQ(app_server_n_instance_state_count(2), 5u);
-  EXPECT_EQ(app_server_n_instance_state_count(4), 21u);
-  EXPECT_EQ(app_server_n_instance_state_count(10), 221u);
+  // Occupancy vectors (r, s, l) with r+s+l <= n-1, C(n+2, 3) of them,
+  // plus All_Down.
   for (std::size_t n : {2, 3, 4, 6, 8, 10}) {
     const ctmc::Ctmc chain =
         app_server_n_instance_model(n).bind(default_parameters());
-    EXPECT_EQ(chain.num_states(), app_server_n_instance_state_count(n))
+    EXPECT_EQ(chain.num_states(), (n + 2) * (n + 1) * n / 6 + 1)
         << "n=" << n;
-    EXPECT_TRUE(chain.is_irreducible()) << "n=" << n;
+    EXPECT_FALSE(
+        lint::lint_ctmc(chain).has_code(lint::codes::kNotIrreducible))
+        << "n=" << n;
   }
+  EXPECT_EQ(app_server_n_instance_model(2).num_states(), 5u);
+  EXPECT_EQ(app_server_n_instance_model(4).num_states(), 21u);
+  EXPECT_EQ(app_server_n_instance_model(10).num_states(), 221u);
 }
 
 TEST(AppServerNInstance, ReducesToFigureFourForTwoInstances) {

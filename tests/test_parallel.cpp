@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -16,6 +19,7 @@
 
 #include "core/resumable.h"
 #include "resil/chaos.h"
+#include "scoped_env.h"
 
 namespace rascal::core {
 namespace {
@@ -51,6 +55,28 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
         << threads;
     for (int t : touched) EXPECT_EQ(t, 1);
   }
+}
+
+TEST(ParallelFor, ZeroThreadsMeansAutomatic) {
+  // threads = 0 resolves through RASCAL_THREADS, as every other thread
+  // count in the library does: both indices must be inside the body at
+  // once.  Run inline, the first call would wait out the timeout.
+  const ScopedEnv threads("RASCAL_THREADS", "3");
+  std::mutex mutex;
+  std::condition_variable arrived;
+  int inside = 0;
+  int timed_out = 0;
+  parallel_for(2, 0, [&](std::size_t, std::size_t, std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++inside;
+    arrived.notify_all();
+    if (!arrived.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return inside >= 2; })) {
+      ++timed_out;
+    }
+  });
+  EXPECT_EQ(inside, 2);
+  EXPECT_EQ(timed_out, 0);
 }
 
 TEST(ParallelFor, EmptyRangeNeverCallsTheBody) {

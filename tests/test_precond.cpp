@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/krylov_plan.h"
@@ -57,10 +58,9 @@ TEST(PrecondName, CoversEveryKind) {
 // plan's A has the diagonal (-2, -4, 1), the 1 from the ones row.
 KrylovPlan three_state_plan() {
   KrylovPlan plan;
-  plan.layout(0, CsrMatrix(3, 3,
-                           {{0, 0, -2.0}, {0, 1, 1.0}, {0, 2, 1.0},
-                            {1, 0, 2.0}, {1, 1, -4.0}, {1, 2, 2.0},
-                            {2, 0, 0.5}, {2, 2, -0.5}}));
+  plan.layout(0, CsrMatrix::from_parts(
+                     3, 3, {0, 3, 6, 8}, {0, 1, 2, 0, 1, 2, 0, 2},
+                     {-2.0, 1.0, 1.0, 2.0, -4.0, 2.0, 0.5, -0.5}));
   return plan;
 }
 
@@ -88,9 +88,8 @@ TEST(JacobiPrecond, RejectsMissingDiagonal) {
   // State 1 is absorbing, so Q stores no (1,1): row 1 of A, column 1
   // of Q, has the entry from state 0 but no diagonal.
   KrylovPlan plan;
-  plan.layout(0, CsrMatrix(3, 3,
-                           {{0, 0, -1.0}, {0, 1, 1.0}, {2, 0, 1.0},
-                            {2, 2, -1.0}}));
+  plan.layout(0, CsrMatrix::from_parts(3, 3, {0, 2, 2, 4}, {0, 1, 0, 2},
+                                       {-1.0, 1.0, 1.0, -1.0}));
   EXPECT_EQ(precond_code([&] { plan.factor(PrecondKind::kJacobi); }),
             "P002");
 }
@@ -135,44 +134,56 @@ std::string ilu0_code(const CsrMatrix& a) {
 
 TEST(Ilu0Precond, RejectsEmptyRow) {
   // Row 1 has no entries at all — not even a diagonal.
-  EXPECT_EQ(ilu0_code(CsrMatrix(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}})), "P003");
+  EXPECT_EQ(
+      ilu0_code(CsrMatrix::from_parts(2, 2, {0, 2, 2}, {0, 1}, {1.0, 2.0})),
+      "P003");
 }
 
 TEST(Ilu0Precond, RejectsZeroPivot) {
-  // (1,1) present but exactly zero.
+  // Row 1 stores (1,0) but no diagonal.
   EXPECT_EQ(
-      ilu0_code(CsrMatrix(2, 2, {{0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 0.0}})),
+      ilu0_code(CsrMatrix::from_parts(2, 2, {0, 1, 2}, {0, 0}, {1.0, 1.0})),
       "P004");
 }
 
 TEST(Ilu0Precond, RejectsPivotEliminatedToZero) {
   // Elimination makes the (1,1) pivot 2 - (2/1)*1 = 0 even though the
   // stored entry is nonzero.
-  EXPECT_EQ(ilu0_code(CsrMatrix(2, 2,
-                                {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 2.0},
-                                 {1, 1, 2.0}})),
+  EXPECT_EQ(ilu0_code(CsrMatrix::from_parts(2, 2, {0, 2, 4}, {0, 1, 0, 1},
+                                            {1.0, 1.0, 2.0, 2.0})),
             "P004");
 }
 
 TEST(Ilu0Precond, IsExactOnTridiagonal) {
   // A tridiagonal matrix has no fill-in, so ILU(0) is a *complete* LU
   // factorization: solving with A x must reproduce x to rounding error.
+  // Row i: -1 at i-1, 4 + 0.1 i on the diagonal, -2 at i+1; r = A x.
   constexpr std::size_t n = 9;
-  std::vector<Triplet> triplets;
-  for (std::size_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, 4.0 + static_cast<double>(i) * 0.1});
-    if (i > 0) triplets.push_back({i, i - 1, -1.0});
-    if (i + 1 < n) triplets.push_back({i, i + 1, -2.0});
-  }
-  const CsrMatrix a(n, n, triplets);
-  const Pattern32 pattern(a);
-  Ilu0Factors ilu;
-  factor_ilu0(ilu, pattern);
   Vector x(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = std::sin(static_cast<double>(i) + 1.0);
   }
-  const Vector r = a.multiply(x);
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<std::size_t> col_idx;
+  std::vector<double> values;
+  Vector r(n, 0.0);
+  const auto put = [&](std::size_t i, std::size_t j, double v) {
+    col_idx.push_back(j);
+    values.push_back(v);
+    r[i] += v * x[j];
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) put(i, i - 1, -1.0);
+    put(i, i, 4.0 + static_cast<double>(i) * 0.1);
+    if (i + 1 < n) put(i, i + 1, -2.0);
+    row_ptr.push_back(col_idx.size());
+  }
+  const CsrMatrix a = CsrMatrix::from_parts(n, n, std::move(row_ptr),
+                                            std::move(col_idx),
+                                            std::move(values));
+  const Pattern32 pattern(a);
+  Ilu0Factors ilu;
+  factor_ilu0(ilu, pattern);
   Vector z;
   ilu.solve(pattern.view(), r, z);
   ASSERT_EQ(z.size(), n);
@@ -184,9 +195,9 @@ TEST(Ilu0Precond, IsExactOnTridiagonal) {
 }
 
 TEST(Ilu0Precond, ApplyIsDeterministic) {
-  const Pattern32 pattern(CsrMatrix(3, 3,
-                                    {{0, 0, 3.0}, {0, 2, 1.0}, {1, 0, -1.0},
-                                     {1, 1, 2.5}, {2, 1, 0.5}, {2, 2, 4.0}}));
+  const Pattern32 pattern(
+      CsrMatrix::from_parts(3, 3, {0, 2, 4, 6}, {0, 2, 0, 1, 1, 2},
+                            {3.0, 1.0, -1.0, 2.5, 0.5, 4.0}));
   Ilu0Factors ilu;
   factor_ilu0(ilu, pattern);
   const Vector r{1.0, -2.0, 0.25};

@@ -13,8 +13,8 @@ namespace {
 using linalg::CsrMatrix;
 
 CsrMatrix two_state_generator(double lambda, double mu) {
-  return CsrMatrix(2, 2,
-                   {{0, 0, -lambda}, {0, 1, lambda}, {1, 0, mu}, {1, 1, -mu}});
+  return CsrMatrix::from_parts(2, 2, {0, 2, 4}, {0, 1, 0, 1},
+                               {-lambda, lambda, mu, -mu});
 }
 
 TEST(PowerIteration, MatchesClosedFormTwoState) {
@@ -38,13 +38,15 @@ TEST(PowerIteration, ReportsIterationsAndResidual) {
 }
 
 TEST(PowerIteration, RejectsNonSquare) {
-  EXPECT_THROW((void)power_stationary(CsrMatrix(2, 3, {})),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)power_stationary(CsrMatrix::from_parts(2, 3, {0, 0, 0}, {}, {})),
+      std::invalid_argument);
 }
 
 TEST(GaussSeidel, ThrowsOnAbsorbingState) {
   // State 1 has no exit: no balance equation to sweep.
-  const CsrMatrix q(2, 2, {{0, 0, -1.0}, {0, 1, 1.0}});
+  const CsrMatrix q =
+      CsrMatrix::from_parts(2, 2, {0, 2, 2}, {0, 1}, {-1.0, 1.0});
   EXPECT_THROW((void)gauss_seidel_stationary(q), std::domain_error);
 }
 

@@ -1,6 +1,6 @@
 // End-to-end guarantees of the resilient execution engine:
 //
-//   * a run interrupted mid-flight (cancel request, injected worker
+//   * a run interrupted mid-flight (expired deadline, injected worker
 //     fault, in-process SIGTERM) and resumed from its checkpoint
 //     produces results bit-identical to an uninterrupted run, at any
 //     thread count;
@@ -30,6 +30,7 @@
 #include "obs/obs.h"
 #include "resil/chaos.h"
 #include "resil/resil.h"
+#include "scoped_env.h"
 #include "serve/supervise.h"
 #include "sim/jsas_simulator.h"
 
@@ -86,7 +87,7 @@ TEST(ResilientUncertainty, CancelledRunResumesBitIdentically) {
   const auto straight =
       analysis::uncertainty_analysis(kQuadratic, kBase, kRanges, options);
 
-  // Pass 1: request cancellation from inside the model function after
+  // Pass 1: expire the deadline from inside the model function after
   // ten solves.  Which indices finish depends on scheduling, but that
   // must not matter — every completed index carries exact bits and
   // every pending index is recomputed from its own substream.
@@ -94,17 +95,17 @@ TEST(ResilientUncertainty, CancelledRunResumesBitIdentically) {
   resil::CancellationToken cancel;
   const analysis::ModelFunction cancelling_model =
       [&](const expr::ParameterSet& p) {
-        if (calls.fetch_add(1) + 1 == 10) cancel.request_cancel();
+        if (calls.fetch_add(1) + 1 == 10) cancel.set_deadline_after(0.0);
         return kQuadratic(p);
       };
+  const ScopedEnv cadence("RASCAL_CHECKPOINT_EVERY", "1");
   resil::Checkpointer first(path, "uncertainty", digest, options.samples);
-  first.set_flush_every(1);
   options.control.cancel = &cancel;
   options.control.checkpoint = &first;
   const auto partial = analysis::uncertainty_analysis(cancelling_model, kBase,
                                                       kRanges, options);
   ASSERT_TRUE(partial.interrupted);
-  EXPECT_EQ(partial.interrupt_reason, "cancellation requested");
+  EXPECT_EQ(partial.interrupt_reason, "deadline exceeded");
   EXPECT_LT(partial.completed, partial.requested);
   EXPECT_GE(partial.completed, 1u);
 
@@ -256,8 +257,8 @@ TEST(ResilientCampaign, SigtermMidCampaignResumesBitIdentically) {
   resil::CancellationToken cancel;
   resil::install_signal_handlers(cancel);
   resil::chaos::configure("sigterm@40");
+  const ScopedEnv cadence("RASCAL_CHECKPOINT_EVERY", "1");
   resil::Checkpointer first(path, "campaign", digest, options.trials);
-  first.set_flush_every(1);
   options.control.cancel = &cancel;
   options.control.checkpoint = &first;
   const auto partial = faultinj::run_campaign(options);
@@ -305,16 +306,20 @@ TEST(ResilientSimulation, FaultedReplicationResumesBitIdentically) {
   options.replications = 6;
   options.seed = 33;
   options.threads = 4;
-  const std::uint64_t digest =
-      sim::jsas_sim_checkpoint_digest(config, params, options);
+  const std::uint64_t digest = resil::DigestBuilder()
+                                   .add_str("jsas-sim resume")
+                                   .add_f64(options.duration)
+                                   .add_u64(options.replications)
+                                   .add_u64(options.seed)
+                                   .value();
 
   const auto straight = sim::simulate_jsas(config, params, options);
 
   // Pass 1 (serial so exactly replications 0 and 1 are on disk): the
   // chaos fault aborts the run, but recorded entries survive.
   resil::chaos::configure("worker-throw@2");
+  const ScopedEnv cadence("RASCAL_CHECKPOINT_EVERY", "1");
   resil::Checkpointer first(path, "jsas-sim", digest, options.replications);
-  first.set_flush_every(1);
   options.threads = 1;
   options.control.checkpoint = &first;
   EXPECT_THROW(sim::simulate_jsas(config, params, options),
@@ -354,14 +359,18 @@ TEST(ResilientSimulation, RecordedFailureIsReplayedNotRecomputed) {
   options.seed = 33;
   options.threads = 1;
   options.control.skip_failures = true;
-  const std::uint64_t digest =
-      sim::jsas_sim_checkpoint_digest(config, params, options);
+  const std::uint64_t digest = resil::DigestBuilder()
+                                   .add_str("jsas-sim replay")
+                                   .add_f64(options.duration)
+                                   .add_u64(options.replications)
+                                   .add_u64(options.seed)
+                                   .value();
 
   // Pass 1: replication 2 fails and is skipped; its failure is on disk
   // next to the five results.
   resil::chaos::configure("worker-throw@2");
+  const ScopedEnv cadence("RASCAL_CHECKPOINT_EVERY", "1");
   resil::Checkpointer first(path, "jsas-sim", digest, options.replications);
-  first.set_flush_every(1);
   options.control.checkpoint = &first;
   const auto skipped = sim::simulate_jsas(config, params, options);
   resil::chaos::configure("");
@@ -499,7 +508,7 @@ TEST(SparseSolverEscalation, DenseMethodsRerouteToGmresAboveTheThreshold) {
 
 TEST(SparseSolverEscalation, CancelledKrylovSolveThrowsCancelled) {
   resil::CancellationToken cancel;
-  cancel.request_cancel();
+  cancel.set_deadline_after(0.0);
   ctmc::SolveControl control;
   control.cancel = &cancel;
   EXPECT_THROW(
@@ -558,11 +567,11 @@ TEST(ResilientUncertainty, SparsePathResumesBitIdenticallyAcrossThreads) {
   resil::CancellationToken cancel;
   const analysis::ModelFunction cancelling_model =
       [&](const expr::ParameterSet& p) {
-        if (calls.fetch_add(1) + 1 == 6) cancel.request_cancel();
+        if (calls.fetch_add(1) + 1 == 6) cancel.set_deadline_after(0.0);
         return kSparseKofnModel(p);
       };
+  const ScopedEnv cadence("RASCAL_CHECKPOINT_EVERY", "1");
   resil::Checkpointer first(path, "uncertainty", digest, options.samples);
-  first.set_flush_every(1);
   options.control.cancel = &cancel;
   options.control.checkpoint = &first;
   const auto partial = analysis::uncertainty_analysis(cancelling_model, base,

@@ -55,11 +55,10 @@ TEST_P(AppServerSpnSizes, MatchesDirectNInstanceModel) {
   const auto generated = spn::generate_ctmc(app_server_spn(n, params),
                                             app_server_spn_reward());
   // Tangible states must match the direct model's count.
-  EXPECT_EQ(generated.chain.num_states(),
-            app_server_n_instance_state_count(n));
+  const ctmc::Ctmc direct_chain = app_server_n_instance_model(n).bind(params);
+  EXPECT_EQ(generated.chain.num_states(), direct_chain.num_states());
 
-  const auto direct =
-      core::solve_availability(app_server_n_instance_model(n).bind(params));
+  const auto direct = core::solve_availability(direct_chain);
   const auto from_spn = core::solve_availability(generated.chain);
   EXPECT_NEAR(from_spn.availability, direct.availability,
               1e-11 * direct.availability + 1e-15);

@@ -31,7 +31,8 @@ TEST(Transient, MatchesTwoStateClosedForm) {
   const double mu = 1.9;
   const Ctmc chain = two_state(lambda, mu);
   for (double t : {0.0, 0.1, 0.5, 1.0, 3.0, 10.0}) {
-    const auto result = transient_distribution(chain, 0, t);
+    const auto result =
+        transient_distribution(chain, linalg::Vector{1.0, 0.0}, t);
     EXPECT_NEAR(result.probabilities[0], p_up(lambda, mu, t), 1e-10)
         << "t=" << t;
   }
@@ -40,14 +41,16 @@ TEST(Transient, MatchesTwoStateClosedForm) {
 TEST(Transient, ConvergesToSteadyState) {
   const Ctmc chain = two_state(0.4, 1.1);
   const SteadyState steady = solve_steady_state(chain);
-  const auto late = transient_distribution(chain, 0, 100.0);
+  const auto late =
+      transient_distribution(chain, linalg::Vector{1.0, 0.0}, 100.0);
   EXPECT_NEAR(late.probabilities[0], steady.probability(0), 1e-9);
   EXPECT_NEAR(late.probabilities[1], steady.probability(1), 1e-9);
 }
 
 TEST(Transient, ZeroTimeReturnsInitial) {
   const Ctmc chain = two_state(1.0, 1.0);
-  const auto result = transient_distribution(chain, 1, 0.0);
+  const auto result =
+      transient_distribution(chain, linalg::Vector{0.0, 1.0}, 0.0);
   EXPECT_DOUBLE_EQ(result.probabilities[0], 0.0);
   EXPECT_DOUBLE_EQ(result.probabilities[1], 1.0);
 }
@@ -60,7 +63,8 @@ TEST(Transient, DistributionStaysNormalized) {
   b.rate(0, 1, 2.0).rate(1, 2, 3.0).rate(2, 0, 0.5).rate(1, 0, 1.0);
   const Ctmc chain = b.build();
   for (double t : {0.01, 0.3, 2.0, 20.0}) {
-    const auto result = transient_distribution(chain, 0, t);
+    const auto result =
+        transient_distribution(chain, linalg::Vector{1.0, 0.0, 0.0}, t);
     double sum = 0.0;
     for (double p : result.probabilities) {
       EXPECT_GE(p, -1e-15);
@@ -81,10 +85,9 @@ TEST(Transient, HonoursInitialDistribution) {
 
 TEST(Transient, ValidatesInput) {
   const Ctmc chain = two_state(1.0, 1.0);
-  EXPECT_THROW((void)transient_distribution(chain, 5, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)transient_distribution(chain, 0, -1.0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)transient_distribution(chain, linalg::Vector{1.0, 0.0}, -1.0),
+      std::invalid_argument);
   EXPECT_THROW(
       (void)transient_distribution(chain, linalg::Vector{0.7, 0.7}, 1.0),
       std::invalid_argument);
@@ -99,10 +102,11 @@ TEST(Transient, MaxTermsGuardsStiffChains) {
   options.max_terms = 10;
   // With validation on the infeasible horizon is rejected up front
   // (R032); with it off the summation loop itself trips the cap.
-  EXPECT_THROW((void)transient_distribution(chain, 0, 1000.0, options),
+  const linalg::Vector up{1.0, 0.0};
+  EXPECT_THROW((void)transient_distribution(chain, up, 1000.0, options),
                rascal::lint::LintError);
   options.validate = false;
-  EXPECT_THROW((void)transient_distribution(chain, 0, 1000.0, options),
+  EXPECT_THROW((void)transient_distribution(chain, up, 1000.0, options),
                std::runtime_error);
 }
 

@@ -16,14 +16,15 @@ CMake project with the same flags.
 Scanned archives: every librascal_*.a except rascal_check.  src/check/
 is the oracle layer; tests are its callers by design.
 
-Every unreached function must be in allowlist.txt with exactly one
-reason:
+Every unreached function must be in allowlist.txt with the one
+reason a library function outside src/check/ may go unreached:
     reference: Suite.Test   the test compares a production path against it
-    test-api: Suite.Test    the test uses it as API
 The audit fails on an unreached function missing from the allowlist, on
 an allowlisted function that is now reached or no longer exported, and
-on a reason that names no test under tests/.  The allowlist only
-shrinks: delete unreached code rather than listing it.
+on any other reason or one that names no test under tests/.  The
+allowlist only shrinks: delete unreached code rather than listing it;
+a test that needs a function only as API uses the production API
+instead.
 
 Usage:
     python3 tools/reachability/audit.py build [BUILD_DIR]
@@ -56,7 +57,7 @@ EXCLUDED_ARCHIVES = {"librascal_check.a"}
 
 NM_LINE = re.compile(r"^[0-9a-fA-F]*\s+([A-Za-z])\s+(.+)$")
 CODE_TYPES = set("TtWwi")
-REASON = re.compile(r"^(?:reference|test-api): (\S+)$")
+REASON = re.compile(r"^reference: (\S+)$")
 
 
 def nm_symbols(nm, path, types):

@@ -4,8 +4,8 @@
 Canned `nm` listings stand in for the library archives and the shipped
 binaries: a mock nm prints the listing file it is given.  The test
 asserts the audit verdict for a clean tree, a new unreached function,
-stale allowlist entries (now reached, or no longer exported), an
-unknown reason and a reason that names no test.
+stale allowlist entries (now reached, or no longer exported), the
+retired reasons and a reason that names no test.
 """
 
 import pathlib
@@ -34,7 +34,7 @@ BINARY = """\
 0000000000001010 T rascal::shipped()
 """
 
-ALLOWLIST = "rascal::helper(int)  # test-api: Fake.UsesHelper\n"
+ALLOWLIST = "rascal::helper(int)  # reference: Fake.UsesHelper\n"
 
 
 def write_executable(path, text):
@@ -79,7 +79,7 @@ def main():
         results.append(expect(
             "clean tree passes and prints the allowlist",
             run_audit(tmp, mock, ARCHIVE, BINARY, ALLOWLIST),
-            0, "rascal::helper(int)  # test-api: Fake.UsesHelper"))
+            0, "rascal::helper(int)  # reference: Fake.UsesHelper"))
 
         results.append(expect(
             "new unreached function fails",
@@ -107,6 +107,12 @@ def main():
             run_audit(tmp, mock, ARCHIVE, BINARY,
                       "rascal::helper(int)  # roadmap-2\n"),
             1, "bad reason 'roadmap-2'"))
+
+        results.append(expect(
+            "the retired test-api reason fails",
+            run_audit(tmp, mock, ARCHIVE, BINARY,
+                      "rascal::helper(int)  # test-api: Fake.UsesHelper\n"),
+            1, "bad reason 'test-api: Fake.UsesHelper'"))
 
         results.append(expect(
             "reason naming no test fails",
